@@ -186,6 +186,16 @@ impl DestinationAnalysis {
         }
     }
 
+    /// Moves the accumulated observations out into a fresh analysis,
+    /// keeping this one's bare-IP key memo warm for reuse.
+    pub(crate) fn take_observations(&mut self) -> DestinationAnalysis {
+        DestinationAnalysis {
+            db: self.db.clone(),
+            observations: std::mem::take(&mut self.observations),
+            ip_keys: HashMap::new(),
+        }
+    }
+
     /// The registry in use.
     pub fn db(&self) -> &GeoDb {
         &self.db

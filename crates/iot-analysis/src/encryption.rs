@@ -177,6 +177,9 @@ pub struct EncryptionAnalysis {
     scratch: EntropyScratch,
     per_device: HashMap<(LabSite, bool, &'static str), ClassBytes>,
     per_row: HashMap<(LabSite, bool, Table8Row), ClassBytes>,
+    /// Per-(site, vpn, device) unencrypted-percentage samples, one per
+    /// experiment with any classified bytes — Table 7's Welch-test input.
+    unenc_samples: HashMap<(LabSite, bool, &'static str), Vec<f64>>,
 }
 
 impl Default for EncryptionAnalysis {
@@ -193,6 +196,19 @@ impl EncryptionAnalysis {
             scratch: EntropyScratch::new(),
             per_device: HashMap::new(),
             per_row: HashMap::new(),
+            unenc_samples: HashMap::new(),
+        }
+    }
+
+    /// Moves the accumulated counters and samples out into a fresh
+    /// analysis, keeping this one's entropy scratch warm for reuse.
+    pub(crate) fn take_counts(&mut self) -> EncryptionAnalysis {
+        EncryptionAnalysis {
+            thresholds: self.thresholds,
+            scratch: EntropyScratch::new(),
+            per_device: std::mem::take(&mut self.per_device),
+            per_row: std::mem::take(&mut self.per_row),
+            unenc_samples: std::mem::take(&mut self.unenc_samples),
         }
     }
 
@@ -205,22 +221,27 @@ impl EncryptionAnalysis {
     /// Ingests pre-extracted flows.
     pub fn add_flows(&mut self, exp: &LabeledExperiment, flows: &ExperimentFlows) {
         let rows = Self::rows_of(exp);
+        let mut sample = ClassBytes::default();
         for lf in &flows.flows {
-            self.add_flow(exp, &rows, lf);
+            self.add_flow(exp, &rows, lf, &mut sample);
         }
+        self.add_sample(exp, &sample);
     }
 
     /// Ingests one labeled flow — the fused-pipeline entry point. The
     /// `rows` slice is [`Self::rows_of`] for the experiment, computed once
-    /// per experiment rather than per flow.
+    /// per experiment rather than per flow; `sample` sums the
+    /// experiment's classified bytes for [`Self::add_sample`].
     pub(crate) fn add_flow(
         &mut self,
         exp: &LabeledExperiment,
         rows: &[Table8Row],
         lf: &crate::flows::LabeledFlow,
+        sample: &mut ClassBytes,
     ) {
         let class = classify_flow_with(lf, &self.thresholds, &mut self.scratch);
         let bytes = lf.flow.total_bytes();
+        sample.add(class, bytes);
         self.per_device
             .entry((exp.site, exp.vpn, exp.device_name))
             .or_default()
@@ -233,10 +254,24 @@ impl EncryptionAnalysis {
         }
     }
 
+    /// Records one experiment's Table 7 sample — its unencrypted share of
+    /// classified bytes — once its flows are in. Experiments with no
+    /// bytes carry no sample.
+    pub(crate) fn add_sample(&mut self, exp: &LabeledExperiment, sample: &ClassBytes) {
+        let total = sample.total();
+        if total > 0 {
+            self.unenc_samples
+                .entry((exp.site, exp.vpn, exp.device_name))
+                .or_default()
+                .push(sample.unencrypted as f64 * 100.0 / total as f64);
+        }
+    }
+
     /// Folds another analysis into this one. Byte counters are additive
-    /// and keyed identically, so merging shards is equivalent to serial
-    /// ingestion in any order. Panics if thresholds differ — shards must
-    /// classify with the same configuration for the merge to be sound.
+    /// and keyed identically, and sample lists are sorted on read, so
+    /// merging shards is equivalent to serial ingestion in any order.
+    /// Panics if thresholds differ — shards must classify with the same
+    /// configuration for the merge to be sound.
     pub fn merge(&mut self, other: EncryptionAnalysis) {
         assert!(
             self.thresholds == other.thresholds,
@@ -247,6 +282,9 @@ impl EncryptionAnalysis {
         }
         for (key, cb) in other.per_row {
             self.per_row.entry(key).or_default().merge(&cb);
+        }
+        for (key, samples) in other.unenc_samples {
+            self.unenc_samples.entry(key).or_default().extend(samples);
         }
     }
 
@@ -301,6 +339,18 @@ impl EncryptionAnalysis {
         self.per_device
             .get(&(site, vpn, catalog::by_name(device)?.name))
             .map(|cb| cb.percent(EncryptionClass::LikelyUnencrypted))
+    }
+
+    /// Per-experiment unencrypted-percentage samples of one device in a
+    /// context (Table 7's significance input), sorted with `total_cmp` so
+    /// the Welch test sums them in the same order whatever the driver.
+    pub fn unencrypted_samples(&self, device: &str, site: LabSite, vpn: bool) -> Vec<f64> {
+        let mut samples = catalog::by_name(device)
+            .and_then(|spec| self.unenc_samples.get(&(site, vpn, spec.name)))
+            .cloned()
+            .unwrap_or_default();
+        samples.sort_by(f64::total_cmp);
+        samples
     }
 
     /// Table 5: number of devices whose percentage of `class` bytes falls
@@ -405,12 +455,12 @@ impl EncryptionAnalysis {
         })
     }
 
-    /// Serializes both counter maps for the campaign checkpoint journal,
-    /// in sorted key order for byte-stable output. Thresholds are not
-    /// persisted: the pipeline always classifies with
-    /// `Thresholds::default()`, and the journal header's campaign
-    /// fingerprint already pins the configuration — decode rebuilds onto
-    /// a default-thresholds analysis.
+    /// Serializes both counter maps and the Table 7 samples for the
+    /// campaign checkpoint journal, in sorted key order for byte-stable
+    /// output. Thresholds are not persisted: the pipeline always
+    /// classifies with `Thresholds::default()`, and the journal header's
+    /// campaign fingerprint already pins the configuration — decode
+    /// rebuilds onto a default-thresholds analysis.
     pub(crate) fn encode_journal(&self, w: &mut crate::supervise::ByteWriter) {
         use crate::supervise as sup;
         let mut devices: Vec<&(LabSite, bool, &'static str)> = self.per_device.keys().collect();
@@ -437,10 +487,23 @@ impl EncryptionAnalysis {
             w.u64(cb.encrypted);
             w.u64(cb.unknown);
         }
+        let mut sampled: Vec<&(LabSite, bool, &'static str)> = self.unenc_samples.keys().collect();
+        sampled.sort();
+        w.u32(sampled.len() as u32);
+        for key in sampled {
+            let samples = &self.unenc_samples[key];
+            w.u8(sup::site_to_u8(key.0));
+            w.bool(key.1);
+            w.str(key.2);
+            w.u32(samples.len() as u32);
+            for &x in samples {
+                w.u64(x.to_bits());
+            }
+        }
     }
 
-    /// Decodes journaled counter maps onto a default-thresholds
-    /// analysis. Duplicate keys fold additively, like
+    /// Decodes journaled counter maps and samples onto a
+    /// default-thresholds analysis. Duplicate keys fold additively, like
     /// [`EncryptionAnalysis::merge`]; malformed input is a typed error.
     pub(crate) fn decode_journal(
         r: &mut crate::supervise::ByteReader<'_>,
@@ -473,6 +536,17 @@ impl EncryptionAnalysis {
                 unknown: r.u64()?,
             };
             out.per_row.entry((site, vpn, row)).or_default().merge(&cb);
+        }
+        let n = r.u32()?;
+        for _ in 0..n {
+            let site = sup::site_from_u8(r.u8()?)?;
+            let vpn = r.bool()?;
+            let device = sup::intern_device(&r.str()?)?;
+            let count = r.u32()?;
+            let samples = out.unenc_samples.entry((site, vpn, device)).or_default();
+            for _ in 0..count {
+                samples.push(f64::from_bits(r.u64()?));
+            }
         }
         Ok(out)
     }

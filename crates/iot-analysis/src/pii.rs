@@ -47,7 +47,7 @@ pub struct PiiFinding {
 impl PiiFinding {
     /// Total ordering for report emission. Findings accumulate in
     /// ingestion order, which differs between the serial driver and the
-    /// sharded parallel one; sorting by this key before emitting makes
+    /// multi-worker one; sorting by this key before emitting makes
     /// the report byte-identical across both.
     pub fn sort_key(&self) -> impl Ord + '_ {
         (

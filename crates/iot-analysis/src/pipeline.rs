@@ -4,14 +4,17 @@
 //!
 //! Two drivers produce byte-identical reports:
 //!
-//! - [`Pipeline::run_campaign`] streams every experiment serially.
-//! - [`Pipeline::run_campaign_parallel`] shards the (lab × device) grid
-//!   across `std::thread::scope` workers. Each worker owns a private
-//!   [`PipelineShard`] — no locks anywhere on the hot path — and the
-//!   shards are folded into the pipeline when the scope ends. Experiment
-//!   generation is seeded per (device, activity, rep, site, vpn), and
-//!   every accumulator merge is order-independent, so the fold is exactly
-//!   equivalent to serial ingestion.
+//! - [`Pipeline::run_campaign`] (and [`Pipeline::ingest_experiments`]
+//!   for an arbitrary experiment stream) runs every experiment serially
+//!   on the caller's thread.
+//! - [`Pipeline::run_campaign_supervised`] pulls (lab × device) work
+//!   units from a shared queue across `std::thread::scope` workers. Each
+//!   worker owns one private [`PipelineShard`] for its whole life — no
+//!   locks anywhere on the hot path — and folds every finished unit into
+//!   a running total. Experiment generation is seeded per (device,
+//!   activity, rep, site, vpn), and every accumulator merge is
+//!   order-independent, so the fold is exactly equivalent to serial
+//!   ingestion.
 //!
 //! # Observability
 //!
@@ -22,10 +25,10 @@
 //! execution, and [`Pipeline::finish`]; counters for experiments,
 //! packets, flows, total/per-[`EncryptionClass`] bytes, and PII
 //! findings; histograms of per-experiment packet and per-flow byte
-//! sizes; and per-worker shard-size gauges so load imbalance in the
-//! parallel driver is visible. Each [`PipelineShard`] carries its own
-//! shard-local registry — the hot path stays unlocked — and registries
-//! fold together with the analyses. [`Pipeline::finish_with_obs`]
+//! sizes; and per-worker gauges (experiments, allocator high-water) so
+//! load imbalance across workers is visible. Each [`PipelineShard`]
+//! carries its own shard-local registry — the hot path stays unlocked —
+//! and registries fold together with the analyses. [`Pipeline::finish_with_obs`]
 //! returns the merged registry for report emission; the pipeline report
 //! itself is byte-identical with observability on or off.
 //!
@@ -38,30 +41,28 @@
 //! lenient pcap salvage path. The fault key is derived from the
 //! experiment's identity `(device, site, vpn, label, rep)`, never from
 //! ingestion order, so a faulted campaign is still byte-identical across
-//! the serial and parallel drivers. Analysis runs inside a
-//! `catch_unwind` boundary: a panicking experiment is quarantined — its
-//! packets counted, its accumulator contributions zero — instead of
-//! killing the run, and a worker thread that dies despite that boundary
-//! is folded in as an empty quarantined shard. The whole ledger is a
+//! drivers and worker counts. Analysis runs inside a `catch_unwind`
+//! boundary: a panicking experiment is quarantined — its packets
+//! counted, its accumulator contributions zero — instead of killing the
+//! run, and a worker thread that dies despite that boundary is counted
+//! as a quarantined shard. The whole ledger is a
 //! [`IngestStats`] in the report (`"ingest"` in the JSON), whose
 //! conservation invariant `chaos_check` gates.
 //!
 //! # Supervision
 //!
-//! [`Pipeline::run_campaign_supervised`] is the third driver, built for
-//! hour-scale fleet campaigns (DESIGN.md §15): the (lab × device) grid
-//! is pulled from a shared work queue one unit at a time, every
-//! completed unit's accumulator delta is appended to a checkpoint
-//! journal (`--resume` replays the journal and re-runs only the
-//! remainder, byte-identically), injected stalls are bounded by a
-//! watchdog deadline, and transient failures earn deterministic,
-//! identity-keyed retries. Every driver — including resumed ones — also
-//! maintains a [`Coverage`] manifest (`"coverage"` in the JSON): what
-//! completed, what needed retries, and what was permanently lost, per
-//! lab × device.
+//! [`Pipeline::run_campaign_supervised`] is built for hour-scale fleet
+//! campaigns (DESIGN.md §15): every completed unit's accumulator delta
+//! is appended to a checkpoint journal (`--resume` replays the journal
+//! and re-runs only the remainder, byte-identically), injected stalls
+//! are bounded by a watchdog deadline, and transient failures earn
+//! deterministic, identity-keyed retries. Every driver — including
+//! resumed ones — also maintains a [`Coverage`] manifest (`"coverage"`
+//! in the JSON): what completed, what needed retries, and what was
+//! permanently lost, per lab × device.
 
 use crate::destinations::{ColumnCtx, DestCtx, DestinationAnalysis};
-use crate::encryption::EncryptionAnalysis;
+use crate::encryption::{ClassBytes, EncryptionAnalysis};
 use crate::flows::{ExperimentFlows, LabelCtx};
 use crate::ingest::IngestStats;
 use crate::pii::{findings_for_flow, scan_flow, PatternCache, PiiFinding};
@@ -80,7 +81,7 @@ use iot_obs::{AllocStats, Registry};
 use iot_protocols::analyzer::ProtocolId;
 use iot_testbed::catalog;
 use iot_testbed::experiment::LabeledExperiment;
-use iot_testbed::lab::LabSite;
+use iot_testbed::lab::{Lab, LabSite};
 use iot_testbed::schedule::{Campaign, CampaignConfig};
 use iot_testbed::traffic::{identity_of, DeviceIdentity};
 use std::collections::HashMap;
@@ -96,8 +97,8 @@ pub const INJECTED_PANIC_MSG: &str = "chaos: injected ingest panic";
 /// The fault key of one experiment: a digest of its identity tuple
 /// `(device, site, vpn, label, rep)` — the same tuple that makes
 /// experiments unique within a campaign. Crucially *not* a function of
-/// ingestion order, so serial and parallel drivers degrade every
-/// experiment identically.
+/// ingestion order, so every driver degrades every experiment
+/// identically.
 fn experiment_fault_key(exp: &LabeledExperiment) -> u64 {
     stream_key(
         exp.device_name,
@@ -120,19 +121,16 @@ fn experiment_fault_key_rep_invariant(exp: &LabeledExperiment) -> u64 {
     )
 }
 
-/// Supervision context threaded into [`PipelineShard::ingest`] by the
-/// supervised driver; `None` everywhere else, reproducing the plain
-/// drivers bit-for-bit.
+/// Supervision context threaded into [`PipelineShard::ingest`]. The
+/// default — no deadline, no retries, no watchdog — is the serial
+/// driver's, and reproduces a default-knob supervised run bit for bit.
+#[derive(Default)]
 struct SupCtx<'a> {
     /// Soft deadline in microseconds; injected stalls strictly greater
     /// are quarantined (by value comparison, never by clock).
     deadline_micros: Option<u64>,
     /// Retry budget for transient failures.
     max_retries: u32,
-    /// First retry's backoff sleep; doubles per attempt.
-    backoff_base: Duration,
-    /// Backoff ceiling.
-    backoff_cap: Duration,
     /// This worker's watchdog slot, when a deadline monitor is running.
     watch: Option<&'a WatchHandle>,
 }
@@ -163,7 +161,8 @@ impl ToJson for PipelineReport {
     /// Emits the report with deterministic bytes: map-backed members are
     /// sorted by key and findings are pre-sorted by `finish`, so the same
     /// campaign always yields the same JSON regardless of the driver
-    /// (serial or parallel) and of hash-map iteration order.
+    /// (serial or supervised, at any worker count) and of hash-map
+    /// iteration order.
     fn to_json(&self) -> Json {
         let sorted_map = |m: &HashMap<String, usize>| {
             let mut obj = Json::obj();
@@ -199,9 +198,10 @@ impl ToJson for PipelineReport {
     }
 }
 
-/// One worker's private accumulator slice. Built empty, fed a shard of
-/// the campaign, then folded into the owning [`Pipeline`]. All three
-/// members merge order-independently.
+/// One worker's private accumulator slice plus the caches and registry
+/// it reuses across work units. Fed experiments, then drained with
+/// [`PipelineShard::take_delta`] into the owning [`Pipeline`]. Every
+/// accumulator merges order-independently.
 struct PipelineShard {
     destinations: DestinationAnalysis,
     encryption: EncryptionAnalysis,
@@ -238,22 +238,19 @@ impl PipelineShard {
         }
     }
 
-    /// Converts the finished shard into its journalable delta plus the
-    /// (never-journaled) metric registry. Shard-local caches are
-    /// result-neutral and simply dropped.
-    fn into_delta(self, unit: u32) -> (UnitDelta, Registry) {
-        (
-            UnitDelta {
-                unit,
-                experiments: self.experiments,
-                ingest: self.ingest,
-                coverage: self.coverage,
-                destinations: self.destinations,
-                encryption: self.encryption,
-                pii: self.pii,
-            },
-            self.obs,
-        )
+    /// Moves the accumulators out as a journalable delta, leaving the
+    /// shard empty but its result-neutral caches and registry in place
+    /// for the next unit.
+    fn take_delta(&mut self, unit: u32) -> UnitDelta {
+        UnitDelta {
+            unit,
+            experiments: std::mem::take(&mut self.experiments),
+            ingest: std::mem::take(&mut self.ingest),
+            coverage: std::mem::take(&mut self.coverage),
+            destinations: self.destinations.take_observations(),
+            encryption: self.encryption.take_counts(),
+            pii: std::mem::take(&mut self.pii),
+        }
     }
 
     fn ingest(
@@ -261,7 +258,7 @@ impl PipelineShard {
         db: &GeoDb,
         identities: &HashMap<(&'static str, LabSite), DeviceIdentity>,
         fault: Option<&FaultInjector>,
-        sup: Option<&SupCtx<'_>>,
+        sup: &SupCtx<'_>,
         mut exp: LabeledExperiment,
     ) {
         // Split the borrow: the span guard pins `obs` (shared) for the
@@ -293,9 +290,11 @@ impl PipelineShard {
         };
         let site = exp.site;
         let device = exp.device_name;
-        let max_retries = sup.map_or(0, |s| s.max_retries);
-        let deadline = sup.and_then(|s| s.deadline_micros);
-        let watch = sup.and_then(|s| s.watch);
+        let SupCtx {
+            deadline_micros: deadline,
+            max_retries,
+            watch,
+        } = *sup;
         obs.begin_stream(skey);
         {
             let _ingest_span = obs.span("ingest");
@@ -338,17 +337,11 @@ impl PipelineShard {
                     // is a permanent loss (of an already-empty capture).
                     Some("salvage_loss")
                 } else if stall_breached {
-                    // Sleep out the stall only up to the point the
-                    // watchdog (or, unsupervised, the deadline itself)
-                    // bounds it — the experiment's fate is already sealed.
-                    let st = Duration::from_micros(stall.unwrap_or(0));
-                    match watch {
-                        Some(w) => {
-                            w.wait_cancelled(st);
-                        }
-                        None => std::thread::sleep(
-                            st.min(Duration::from_micros(deadline.unwrap_or(0))),
-                        ),
+                    // Sleep out the stall only until the watchdog (which
+                    // runs whenever a deadline is set) cancels it — the
+                    // experiment's fate is already sealed.
+                    if let Some(w) = watch {
+                        w.wait_cancelled(Duration::from_micros(stall.unwrap_or(0)));
                     }
                     Some("stall_deadline")
                 } else {
@@ -414,16 +407,6 @@ impl PipelineShard {
                 if transient && attempt < max_retries && pristine.is_some() {
                     ingest.packets_retried += salvaged;
                     exp.capture = pristine.as_ref().expect("pristine checked").clone();
-                    if let Some(s) = sup {
-                        // Wall-clock pacing only; report-neutral.
-                        let backoff = s
-                            .backoff_base
-                            .saturating_mul(1u32 << attempt.min(16))
-                            .min(s.backoff_cap);
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                        }
-                    }
                     attempt += 1;
                     continue;
                 }
@@ -571,6 +554,7 @@ fn analyze_experiment(
     let mut dest_alloc = AllocStats::default();
     let mut enc_alloc = AllocStats::default();
     let mut pii_alloc = AllocStats::default();
+    let mut enc_sample = ClassBytes::default();
     for lf in &flows.flows {
         if timing {
             obs.observe("flow_bytes", lf.flow.total_bytes());
@@ -594,7 +578,7 @@ fn analyze_experiment(
         {
             let t = timing.then(Instant::now);
             let a = counting.then(iot_obs::alloc::thread_snapshot);
-            encryption.add_flow(exp, &enc_rows, lf);
+            encryption.add_flow(exp, &enc_rows, lf, &mut enc_sample);
             if let Some(a) = a {
                 enc_alloc.merge(&iot_obs::alloc::thread_snapshot().since(&a));
             }
@@ -619,6 +603,7 @@ fn analyze_experiment(
             }
         }
     }
+    encryption.add_sample(exp, &enc_sample);
     if timing {
         obs.record_ns("ingest/destinations", dest_ns);
         obs.record_ns("ingest/encryption", enc_ns);
@@ -631,33 +616,6 @@ fn analyze_experiment(
     }
     if identity.is_some() {
         obs.add("pii_findings", (pii.len() - pii_before) as u64);
-    }
-}
-
-/// Recovers from a worker thread's fate: a healthy shard passes through;
-/// a panicked worker (a defect that escaped the per-experiment
-/// quarantine) is replaced by an empty shard marked quarantined, so the
-/// run completes and the loss is visible in the report instead of
-/// crashing the driver.
-fn quarantine_result(
-    result: std::thread::Result<PipelineShard>,
-    shard_idx: usize,
-    obs_enabled: bool,
-) -> PipelineShard {
-    match result {
-        Ok(shard) => shard,
-        Err(payload) => {
-            let what = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("non-string panic payload");
-            eprintln!("pipeline: worker {shard_idx} panicked ({what}); shard quarantined");
-            let mut shard = PipelineShard::new(obs_enabled);
-            shard.ingest.shards_quarantined = 1;
-            shard.ingest.add_stage_error("worker_panic");
-            shard
-        }
     }
 }
 
@@ -686,16 +644,14 @@ impl Default for Pipeline {
     }
 }
 
-fn campaign_identities(
-    campaign: &Campaign,
+/// Every deployed device's identity, keyed by (model, site).
+fn lab_identities<'a>(
+    labs: impl IntoIterator<Item = &'a Lab>,
 ) -> HashMap<(&'static str, LabSite), DeviceIdentity> {
-    let mut identities = HashMap::new();
-    for lab in campaign.labs() {
-        for d in &lab.devices {
-            identities.insert((d.spec().name, d.site), identity_of(d));
-        }
-    }
-    identities
+    labs.into_iter()
+        .flat_map(|lab| &lab.devices)
+        .map(|d| ((d.spec().name, d.site), identity_of(d)))
+        .collect()
 }
 
 /// Registers the calling thread with the span-stack sampling profiler —
@@ -743,8 +699,8 @@ impl Pipeline {
 
     /// Arms the fault injector: every capture ingested from now on is
     /// degraded per `plan` and re-read through the lenient salvage path.
-    /// Faults are keyed by experiment identity, so serial and parallel
-    /// runs of the same plan produce byte-identical reports.
+    /// Faults are keyed by experiment identity, so every driver and
+    /// worker count produces byte-identical reports under the same plan.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault = Some(FaultInjector::new(plan));
     }
@@ -754,14 +710,22 @@ impl Pipeline {
         self.fault.as_ref().map(FaultInjector::plan)
     }
 
-    fn absorb(&mut self, shard: PipelineShard) {
-        self.destinations.merge(shard.destinations);
-        self.encryption.merge(shard.encryption);
-        self.pii.extend(shard.pii);
-        self.ingest.merge(&shard.ingest);
-        self.coverage.merge(&shard.coverage);
-        self.experiments += shard.experiments;
-        self.obs.merge(shard.obs);
+    /// Folds a unit delta — a journal replay or a worker total — into
+    /// the pipeline's accumulators.
+    fn absorb_delta(&mut self, delta: UnitDelta) {
+        self.destinations.merge(delta.destinations);
+        self.encryption.merge(delta.encryption);
+        self.pii.extend(delta.pii);
+        self.ingest.merge(&delta.ingest);
+        self.coverage.merge(&delta.coverage);
+        self.experiments += delta.experiments;
+    }
+
+    /// Folds a worker's registry into the pipeline's. Only work this
+    /// process performed has one: replayed units contribute no metrics
+    /// (the report JSON, which identity is gated on, is obs-independent).
+    fn absorb_obs(&mut self, obs: Registry) {
+        self.obs.merge(obs);
         // Live-heap counter track for the wall-clock Chrome trace,
         // sampled only at fold boundaries (outside any event stream, so
         // the deterministic trace subset never sees it).
@@ -771,34 +735,17 @@ impl Pipeline {
         }
     }
 
-    /// Folds a journaled unit delta into the pipeline — the replay half
-    /// of resume. `obs` is `Some` for units this process actually ran:
-    /// metrics describe performed work, so replayed units contribute no
-    /// registry (the report JSON, which is what identity is gated on,
-    /// is obs-independent).
-    fn absorb_delta(&mut self, delta: UnitDelta, obs: Option<Registry>) {
-        self.destinations.merge(delta.destinations);
-        self.encryption.merge(delta.encryption);
-        self.pii.extend(delta.pii);
-        self.ingest.merge(&delta.ingest);
-        self.coverage.merge(&delta.coverage);
-        self.experiments += delta.experiments;
-        if let Some(obs) = obs {
-            self.obs.merge(obs);
-            if iot_obs::alloc::enabled() {
-                self.obs
-                    .counter_sample("alloc.live_bytes", iot_obs::alloc::process_live_bytes());
-            }
+    /// Stamps one worker's gauges when it finishes: experiments ingested
+    /// and the thread's allocator high-water. Gauges max-merge at fold
+    /// time, so every worker's figures survive into the run report.
+    fn record_worker_gauges(obs: &Registry, worker: usize, experiments: u64) {
+        if !obs.enabled() {
+            return;
         }
-    }
-
-    /// Stamps the calling worker thread's allocator high-water gauge at
-    /// shard end; gauges max-merge at fold time, so every worker's peak
-    /// survives into the run report.
-    fn record_shard_alloc_gauge(obs: &Registry, shard_idx: usize) {
-        if obs.enabled() && iot_obs::alloc::enabled() {
+        obs.set_gauge(&format!("worker.{worker}.experiments"), experiments as f64);
+        if iot_obs::alloc::enabled() {
             obs.set_gauge(
-                &format!("worker.{shard_idx}.alloc_high_water_bytes"),
+                &format!("worker.{worker}.alloc_high_water_bytes"),
                 iot_obs::alloc::thread_high_water_bytes() as f64,
             );
         }
@@ -850,33 +797,13 @@ impl Pipeline {
         };
         let identities = {
             let _s = self.obs.span("identities");
-            campaign_identities(&campaign)
+            lab_identities(campaign.labs())
         };
         Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "generated");
-        let mut shard = PipelineShard::new(self.obs.enabled());
-        // Worker track 1 — track 0 is the driver registry. The serial
-        // shard is the same worker the parallel driver would call 1.
-        shard.obs.set_worker(1);
-        let _profile = profile_guard(self.obs.enabled(), "worker-0");
-        let fault = self.fault;
-        let start = Instant::now();
-        {
-            let mut ingest = |exp: LabeledExperiment| {
-                shard.ingest(&self.db, &identities, fault.as_ref(), None, exp);
-            };
-            campaign.run(&self.db, &mut ingest);
-            campaign.run_idle(&self.db, &mut ingest);
-        }
-        // An RAII guard cannot wrap the closure above (it would borrow the
-        // shard that ingest mutates), so the shard region is timed by hand.
-        shard.obs.record_ns("shard", start.elapsed());
-        if shard.obs.enabled() {
-            shard.obs.set_gauge("worker.0.experiments", shard.experiments as f64);
-        }
-        Self::record_shard_alloc_gauge(&shard.obs, 0);
-        self.obs.set_gauge("workers", 1.0);
-        self.absorb(shard);
-        Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folded");
+        self.run_serial(&identities, |db, ingest| {
+            campaign.run(db, &mut *ingest);
+            campaign.run_idle(db, ingest);
+        });
     }
 
     /// Ingests an arbitrary stream of experiments through the same
@@ -893,108 +820,52 @@ impl Pipeline {
         iot_obs::serve::maybe_start_from_env();
         let identities = {
             let _s = self.obs.span("identities");
-            let mut identities = HashMap::new();
-            for site in LabSite::all() {
-                let lab = iot_testbed::lab::Lab::deploy(site);
-                for d in &lab.devices {
-                    identities.insert((d.spec().name, d.site), identity_of(d));
-                }
-            }
-            identities
+            lab_identities(&LabSite::all().map(Lab::deploy))
         };
+        self.run_serial(&identities, |_, ingest| experiments.into_iter().for_each(ingest));
+    }
+
+    /// The serial body shared by [`Pipeline::run_campaign`] and
+    /// [`Pipeline::ingest_experiments`]: one shard on the caller's
+    /// thread, fed every experiment `feed` produces, then folded in.
+    fn run_serial(
+        &mut self,
+        identities: &HashMap<(&'static str, LabSite), DeviceIdentity>,
+        feed: impl FnOnce(&GeoDb, &mut dyn FnMut(LabeledExperiment)),
+    ) {
         let mut shard = PipelineShard::new(self.obs.enabled());
+        // Worker track 1 — track 0 is the driver registry. The serial
+        // shard is the same worker a supervised run would call 1.
         shard.obs.set_worker(1);
         let _profile = profile_guard(self.obs.enabled(), "worker-0");
         let fault = self.fault;
-        let start = Instant::now();
-        for exp in experiments {
-            shard.ingest(&self.db, &identities, fault.as_ref(), None, exp);
-        }
-        shard.obs.record_ns("shard", start.elapsed());
-        if shard.obs.enabled() {
-            shard.obs.set_gauge("worker.0.experiments", shard.experiments as f64);
-        }
-        Self::record_shard_alloc_gauge(&shard.obs, 0);
-        self.obs.set_gauge("workers", 1.0);
-        self.absorb(shard);
-        Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folded");
-    }
-
-    /// Runs a full campaign with the (lab × device) grid sharded across
-    /// `workers` scoped threads. Each worker generates and analyzes its
-    /// own device subset into a private [`PipelineShard`]; the shards
-    /// are folded here afterwards. The resulting report is byte-identical
-    /// to [`Pipeline::run_campaign`]'s.
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn run_campaign_parallel(&mut self, config: CampaignConfig, workers: usize) {
-        assert!(workers > 0, "workers must be positive");
-        iot_obs::serve::maybe_start_from_env();
-        let campaign = {
-            let _s = self.obs.span("campaign_new");
-            Campaign::new(config)
-        };
-        let identities = {
-            let _s = self.obs.span("identities");
-            campaign_identities(&campaign)
-        };
-        Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "generated");
-        // More workers than work units would leave idle threads behind.
-        let workers = workers.min(campaign.unit_count().max(1));
-        let obs_enabled = self.obs.enabled();
-        let fault = self.fault;
         let db = &self.db;
-        let campaign_ref = &campaign;
-        let identities_ref = &identities;
-        let shards: Vec<PipelineShard> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|shard_idx| {
-                    scope.spawn(move || {
-                        let mut shard = PipelineShard::new(obs_enabled);
-                        // Worker tracks start at 1; 0 is the driver.
-                        shard.obs.set_worker(shard_idx as u32 + 1);
-                        let _profile =
-                            profile_guard(obs_enabled, &format!("worker-{shard_idx}"));
-                        let start = Instant::now();
-                        campaign_ref.run_shard(db, shard_idx, workers, |exp| {
-                            shard.ingest(db, identities_ref, fault.as_ref(), None, exp);
-                        });
-                        shard.obs.record_ns("shard", start.elapsed());
-                        if obs_enabled {
-                            shard.obs.set_gauge(
-                                &format!("worker.{shard_idx}.experiments"),
-                                shard.experiments as f64,
-                            );
-                        }
-                        Self::record_shard_alloc_gauge(&shard.obs, shard_idx);
-                        shard
-                    })
-                })
-                .collect();
-            // A worker that panicked despite the per-experiment
-            // quarantine becomes an empty quarantined shard — the run
-            // completes and the report says which shard was lost.
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(idx, h)| quarantine_result(h.join(), idx, obs_enabled))
-                .collect()
+        let start = Instant::now();
+        feed(db, &mut |exp| {
+            shard.ingest(db, identities, fault.as_ref(), &SupCtx::default(), exp);
         });
-        self.obs.set_gauge("workers", workers as f64);
-        for shard in shards {
-            self.absorb(shard);
-            Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folding");
-        }
+        // An RAII guard cannot wrap the call above (it would borrow the
+        // shard that ingest mutates), so the shard region is timed by hand.
+        shard.obs.record_ns("shard", start.elapsed());
+        Self::record_worker_gauges(&shard.obs, 0, shard.experiments);
+        self.obs.set_gauge("workers", 1.0);
+        self.absorb_delta(shard.take_delta(0));
+        self.absorb_obs(shard.obs);
         Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folded");
     }
 
-    /// Runs a full campaign under supervision (DESIGN.md §15): workers
-    /// pull (lab × device) work units from a shared queue, each finished
-    /// unit's accumulator delta is appended to the checkpoint journal
-    /// (when `sup.journal` is set), injected stalls are bounded by a
-    /// watchdog at `sup.deadline`, and transient failures are retried up
-    /// to `sup.max_retries` times with identity-keyed determinism.
+    /// Runs a full campaign across `workers` threads under supervision
+    /// (DESIGN.md §15): workers pull (lab × device) work units from a
+    /// shared queue, each finished unit's accumulator delta is appended
+    /// to the checkpoint journal (when `sup.journal` is set), injected
+    /// stalls are bounded by a watchdog at `sup.deadline`, and transient
+    /// failures are retried up to `sup.max_retries` times with
+    /// identity-keyed determinism.
+    ///
+    /// Each worker owns one [`PipelineShard`] — registry, memo caches,
+    /// entropy scratch — for its whole life and folds every finished
+    /// unit into a shared running total, so memory stays O(workers)
+    /// however many units the campaign has.
     ///
     /// With `sup.resume`, an existing journal is replayed first — its
     /// completed units merged straight into the accumulators — and only
@@ -1004,9 +875,8 @@ impl Pipeline {
     /// retry budget) is refused with a typed error rather than silently
     /// producing a hybrid report.
     ///
-    /// With default [`SupervisorConfig`] knobs the supervised driver is
-    /// report-byte-identical to [`Pipeline::run_campaign`] and
-    /// [`Pipeline::run_campaign_parallel`].
+    /// With a default [`SupervisorConfig`] the report is byte-identical
+    /// to [`Pipeline::run_campaign`]'s at every worker count.
     ///
     /// # Panics
     /// Panics if `workers` is zero.
@@ -1024,7 +894,7 @@ impl Pipeline {
         };
         let identities = {
             let _s = self.obs.span("identities");
-            campaign_identities(&campaign)
+            lab_identities(campaign.labs())
         };
         let unit_count = campaign.unit_count();
         let deadline_micros = sup.deadline.map(|d| d.as_micros() as u64);
@@ -1082,7 +952,7 @@ impl Pipeline {
                 writer = Some(Mutex::new(w));
                 for delta in replayed {
                     done.insert(delta.unit);
-                    self.absorb_delta(delta, None);
+                    self.absorb_delta(delta);
                 }
             } else {
                 writer = Some(Mutex::new(JournalWriter::create(
@@ -1098,11 +968,7 @@ impl Pipeline {
             .collect();
         summary.units_run = remaining.len();
         Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "generated");
-        if remaining.is_empty() {
-            self.obs.set_gauge("workers", 0.0);
-            Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folded");
-            return Ok(summary);
-        }
+        // A fully replayed journal leaves no unit to run, and no worker.
         let workers = workers.min(remaining.len());
         let watchdog = sup.deadline.map(|d| Watchdog::new(workers, d));
         let watchdog_ref = watchdog.as_ref();
@@ -1114,17 +980,19 @@ impl Pipeline {
         let remaining_ref = &remaining[..];
         let writer_ref = writer.as_ref();
         let throttle = sup.unit_throttle;
-        // Shared work queue plus shared completion log: units completed
-        // before a worker death or journal failure are never lost.
+        // Shared work queue plus a shared running total: every finished
+        // unit is folded in at once, so units completed before a worker
+        // death or journal failure are never lost, and nothing per unit
+        // outlives the fold.
         let next = AtomicUsize::new(0);
-        let completed: Mutex<Vec<(UnitDelta, Registry)>> = Mutex::new(Vec::new());
+        let total: Mutex<UnitDelta> = Mutex::new(UnitDelta::default());
         let journal_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
         let abort = AtomicBool::new(false);
-        let dead_workers: Vec<usize> = std::thread::scope(|scope| {
+        let registries: Vec<Option<Registry>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|widx| {
                     let next = &next;
-                    let completed = &completed;
+                    let total = &total;
                     let journal_error = &journal_error;
                     let abort = &abort;
                     scope.spawn(move || {
@@ -1133,10 +1001,12 @@ impl Pipeline {
                         let sup_ctx = SupCtx {
                             deadline_micros,
                             max_retries: sup.max_retries,
-                            backoff_base: sup.backoff_base,
-                            backoff_cap: sup.backoff_cap,
                             watch: watch.as_ref(),
                         };
+                        let mut shard = PipelineShard::new(obs_enabled);
+                        // Worker tracks start at 1; 0 is the driver.
+                        shard.obs.set_worker(widx as u32 + 1);
+                        let mut experiments = 0u64;
                         loop {
                             if abort.load(Ordering::Acquire) {
                                 break;
@@ -1146,21 +1016,19 @@ impl Pipeline {
                                 break;
                             }
                             let unit = remaining_ref[i];
-                            let mut shard = PipelineShard::new(obs_enabled);
-                            shard.obs.set_worker(widx as u32 + 1);
                             let start = Instant::now();
                             campaign_ref.run_unit(db, unit as usize, |exp| {
                                 shard.ingest(
                                     db,
                                     identities_ref,
                                     fault.as_ref(),
-                                    Some(&sup_ctx),
+                                    &sup_ctx,
                                     exp,
                                 );
                             });
                             shard.obs.record_ns("shard", start.elapsed());
-                            Self::record_shard_alloc_gauge(&shard.obs, widx);
-                            let (delta, obs) = shard.into_delta(unit);
+                            let delta = shard.take_delta(unit);
+                            experiments += delta.experiments;
                             if let Some(w) = writer_ref {
                                 // Journal before declaring the unit done:
                                 // anything the journal holds is exactly
@@ -1173,23 +1041,27 @@ impl Pipeline {
                                     abort.store(true, Ordering::Release);
                                 }
                             }
-                            completed
+                            // Only a panic inside `merge` itself can
+                            // poison this lock, leaving a half-folded total.
+                            total
                                 .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .push((delta, obs));
+                                .expect("no worker panicked mid-fold")
+                                .merge(delta);
                             if !throttle.is_zero() {
                                 // Kill-timing aid for tests; report-neutral.
                                 std::thread::sleep(throttle);
                             }
                         }
+                        Self::record_worker_gauges(&shard.obs, widx, experiments);
+                        shard.obs
                     })
                 })
                 .collect();
             handles
                 .into_iter()
                 .enumerate()
-                .filter_map(|(idx, h)| match h.join() {
-                    Ok(()) => None,
+                .map(|(idx, h)| match h.join() {
+                    Ok(obs) => Some(obs),
                     Err(payload) => {
                         let what = payload
                             .downcast_ref::<&str>()
@@ -1200,31 +1072,27 @@ impl Pipeline {
                             "pipeline: supervised worker {idx} panicked ({what}); \
                              its in-flight unit stays resumable"
                         );
-                        Some(idx)
+                        None
                     }
                 })
                 .collect()
         });
-        // A dead worker's in-flight unit was neither journaled nor
-        // completed — a later --resume re-runs it. Mark the loss the same
-        // way the parallel driver does.
-        for _ in &dead_workers {
-            let mut marker = PipelineShard::new(obs_enabled);
-            marker.ingest.shards_quarantined = 1;
-            marker.ingest.add_stage_error("worker_panic");
-            self.absorb(marker);
-        }
         if let Some(e) = journal_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
             return Err(JournalError::Io(e));
         }
-        // Fold in unit order: not required for correctness (merges
-        // commute), but it keeps fold-boundary obs samples stable.
-        let mut completed = completed.into_inner().unwrap_or_else(|p| p.into_inner());
-        completed.sort_by_key(|(d, _)| d.unit);
+        self.absorb_delta(total.into_inner().expect("no worker panicked mid-fold"));
         self.obs.set_gauge("workers", workers as f64);
-        for (delta, obs) in completed {
-            self.absorb_delta(delta, Some(obs));
-            Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folding");
+        for obs in registries {
+            match obs {
+                Some(obs) => self.absorb_obs(obs),
+                // A dead worker's in-flight unit was neither journaled
+                // nor folded — a later --resume re-runs it. The ledger
+                // marks the loss.
+                None => {
+                    self.ingest.shards_quarantined += 1;
+                    self.ingest.add_stage_error("worker_panic");
+                }
+            }
         }
         if let Some(dog) = watchdog_ref {
             summary.watchdog_cancelled = dog.cancelled_total();
@@ -1239,7 +1107,6 @@ impl Pipeline {
         Self::publish_live(&self.obs, self.experiments, &self.ingest, &self.coverage, "folded");
         Ok(summary)
     }
-
     /// Builds the aggregate report, discarding the metric registry.
     pub fn finish(self) -> PipelineReport {
         self.finish_with_obs().0
@@ -1412,26 +1279,6 @@ mod tests {
         assert!(json.contains("pii_findings"));
     }
 
-    #[test]
-    fn parallel_matches_serial() {
-        let config = CampaignConfig {
-            automated_reps: 1,
-            manual_reps: 1,
-            power_reps: 1,
-            idle_hours: 0.02,
-            include_vpn: false,
-        };
-        let mut serial = Pipeline::new();
-        serial.run_campaign(config);
-        let serial_json = serial.finish().to_json().dump();
-        for workers in [2usize, 4] {
-            let mut parallel = Pipeline::new();
-            parallel.run_campaign_parallel(config, workers);
-            let parallel_json = parallel.finish().to_json().dump();
-            assert_eq!(serial_json, parallel_json, "{workers} workers");
-        }
-    }
-
     fn tiny_config() -> CampaignConfig {
         CampaignConfig {
             automated_reps: 1,
@@ -1452,28 +1299,6 @@ mod tests {
         assert!(report.ingest.packets_generated > 0);
         assert_eq!(report.ingest.experiments_ingested, report.experiments);
         assert!(report.to_json().dump().contains("\"ingest\""));
-    }
-
-    #[test]
-    fn faulted_parallel_matches_faulted_serial() {
-        let plan = iot_chaos::FaultPlan::uniform(0xC0FFEE, 0.02);
-        let mut serial = Pipeline::new();
-        serial.set_fault_plan(plan);
-        serial.run_campaign(tiny_config());
-        let serial_report = serial.finish();
-        assert!(
-            !serial_report.ingest.is_clean(),
-            "a 2% fault plan must actually degrade something"
-        );
-        assert!(serial_report.ingest.reconciles(), "{:?}", serial_report.ingest);
-        let serial_json = serial_report.to_json().dump();
-        for workers in [2usize, 4] {
-            let mut parallel = Pipeline::new();
-            parallel.set_fault_plan(plan);
-            parallel.run_campaign_parallel(tiny_config(), workers);
-            let parallel_json = parallel.finish().to_json().dump();
-            assert_eq!(serial_json, parallel_json, "{workers} workers, faulted");
-        }
     }
 
     #[test]
@@ -1544,150 +1369,80 @@ mod tests {
         assert_eq!(replay.finish().to_json().dump(), baseline_json);
     }
 
-    /// The PR 6 hot-path invariant, pinned with the PR 7 instrument:
-    /// once the memo caches are warm (interned labels, compiled PII
-    /// patterns, protocol-ID memos, entropy term tables) and the
-    /// accumulator tables have seen every key, the fused per-flow loop
-    /// performs zero heap allocations per flow. Experiments whose scan
-    /// produced PII findings are excluded from the measured PII stage —
-    /// constructing a finding allocates by design; that is per-finding
-    /// work, not loop overhead.
+    /// The PR 6 hot-path invariant, pinned with the PR 7 instrument on
+    /// the real fused loop: once the memo caches are warm (interned
+    /// labels, compiled PII patterns, protocol-ID memos, entropy term
+    /// tables) and the accumulator tables have seen every key,
+    /// `analyze_experiment`'s per-flow stages perform zero heap
+    /// allocations — the per-stage heap traffic it records itself stays
+    /// empty. Experiments whose scan produced PII findings are left out
+    /// of the measured pass — constructing a finding allocates by
+    /// design; that is per-finding work, not loop overhead.
     #[test]
     fn fused_per_flow_loop_is_allocation_free_after_warmup() {
         let db = GeoDb::new();
         let campaign = Campaign::new(tiny_config());
-        let identities = campaign_identities(&campaign);
+        let identities = lab_identities(campaign.labs());
         let mut experiments: Vec<LabeledExperiment> = Vec::new();
         campaign.run(&db, &mut |exp| experiments.push(exp));
+        let analyze = |shard: &mut PipelineShard, exp: &LabeledExperiment| {
+            let PipelineShard {
+                destinations,
+                encryption,
+                pii,
+                label_ctx,
+                pii_patterns,
+                ingest,
+                obs,
+                ..
+            } = shard;
+            analyze_experiment(
+                &db,
+                &identities,
+                destinations,
+                encryption,
+                pii,
+                label_ctx,
+                pii_patterns,
+                ingest,
+                obs,
+                exp,
+            );
+        };
 
-        let mut destinations = DestinationAnalysis::new();
-        let mut encryption = EncryptionAnalysis::default();
-        let mut pii: Vec<PiiFinding> = Vec::new();
-        let mut label_ctx = LabelCtx::new();
-        let mut pii_patterns = PatternCache::new();
-
-        // Warmup pass: materialize flows, run every stage, remember
-        // which experiments produced findings.
-        let mut corpus: Vec<(LabeledExperiment, ExperimentFlows, bool)> = Vec::new();
+        // Warmup pass: every stage sees every key; keep the experiments
+        // that produced no findings.
+        let mut shard = PipelineShard::new(true);
+        let total = experiments.len();
+        let mut quiet = Vec::new();
         for exp in experiments {
-            let flows = ExperimentFlows::from_experiment_with(&exp, &mut label_ctx);
-            let dest_ctx = DestCtx::of(&exp);
-            let enc_rows = EncryptionAnalysis::rows_of(&exp);
-            let scan = match (
-                identities.get(&(exp.device_name, exp.site)),
-                catalog::by_name(exp.device_name),
-            ) {
-                (Some(identity), Some(spec)) => Some((
-                    pii_patterns.get(exp.device_name, exp.site, identity),
-                    spec.manufacturer_org,
-                )),
-                _ => None,
-            };
-            let pii_before = pii.len();
-            for lf in &flows.flows {
-                let internet =
-                    !matches!(lf.protocol, ProtocolId::Dns | ProtocolId::Dhcp);
-                if internet {
-                    if let Some(ctx) = &dest_ctx {
-                        destinations.add_flow(&exp, ctx, lf);
-                    }
-                }
-                encryption.add_flow(&exp, &enc_rows, lf);
-                if internet {
-                    if let Some((patterns, manufacturer_org)) = scan {
-                        let hits = scan_flow(patterns, lf);
-                        if !hits.is_empty() {
-                            findings_for_flow(
-                                &db,
-                                &exp,
-                                manufacturer_org,
-                                lf,
-                                hits,
-                                &mut pii,
-                            );
-                        }
-                    }
-                }
+            let before = shard.pii.len();
+            analyze(&mut shard, &exp);
+            if shard.pii.len() == before {
+                quiet.push(exp);
             }
-            let had_findings = pii.len() > pii_before;
-            corpus.push((exp, flows, had_findings));
         }
-        assert!(corpus.iter().any(|(.., f)| *f), "corpus must exercise PII");
+        assert!(quiet.len() < total, "corpus must exercise PII");
 
-        // Measured pass over the very same flows: per-experiment stage
-        // context is rebuilt *outside* the measurement window (it is
-        // hoisted out of the flow loop in analyze_experiment too), then
-        // the loop itself must not touch the heap.
+        // Measured pass over the same experiments, with a fresh registry
+        // collecting the stage heap traffic.
+        shard.obs = Registry::with_enabled(true);
         let was = iot_obs::alloc::enabled();
         iot_obs::alloc::set_enabled(true);
-        let mut measured = AllocStats::default();
-        let mut stage_dest = AllocStats::default();
-        let mut stage_enc = AllocStats::default();
-        let mut stage_pii = AllocStats::default();
-        let mut flows_measured = 0u64;
-        for (exp, flows, had_findings) in &corpus {
-            let dest_ctx = DestCtx::of(exp);
-            let enc_rows = EncryptionAnalysis::rows_of(exp);
-            let scan = if *had_findings {
-                None
-            } else {
-                match (
-                    identities.get(&(exp.device_name, exp.site)),
-                    catalog::by_name(exp.device_name),
-                ) {
-                    (Some(identity), Some(spec)) => Some((
-                        pii_patterns.get(exp.device_name, exp.site, identity),
-                        spec.manufacturer_org,
-                    )),
-                    _ => None,
-                }
-            };
-            let before = iot_obs::alloc::thread_snapshot();
-            for lf in &flows.flows {
-                let internet =
-                    !matches!(lf.protocol, ProtocolId::Dns | ProtocolId::Dhcp);
-                if internet {
-                    if let Some(ctx) = &dest_ctx {
-                        let a = iot_obs::alloc::thread_snapshot();
-                        destinations.add_flow(exp, ctx, lf);
-                        stage_dest.merge(&iot_obs::alloc::thread_snapshot().since(&a));
-                    }
-                }
-                {
-                    let a = iot_obs::alloc::thread_snapshot();
-                    encryption.add_flow(exp, &enc_rows, lf);
-                    stage_enc.merge(&iot_obs::alloc::thread_snapshot().since(&a));
-                }
-                if internet {
-                    if let Some((patterns, manufacturer_org)) = scan {
-                        let a = iot_obs::alloc::thread_snapshot();
-                        let hits = scan_flow(patterns, lf);
-                        if !hits.is_empty() {
-                            findings_for_flow(
-                                &db,
-                                exp,
-                                manufacturer_org,
-                                lf,
-                                hits,
-                                &mut pii,
-                            );
-                        }
-                        stage_pii.merge(&iot_obs::alloc::thread_snapshot().since(&a));
-                    }
-                }
-                flows_measured += 1;
-            }
-            measured.merge(&iot_obs::alloc::thread_snapshot().since(&before));
+        for exp in &quiet {
+            analyze(&mut shard, exp);
         }
         iot_obs::alloc::set_enabled(was);
-        assert!(flows_measured > 1000, "need a real corpus: {flows_measured}");
-        assert_eq!(
-            measured.allocs, 0,
-            "fused per-flow loop must be allocation-free after warmup \
-             ({flows_measured} flows): {measured:?}\n dest: {stage_dest:?}\n \
-             enc: {stage_enc:?}\n pii: {stage_pii:?}"
-        );
-        assert_eq!(measured.bytes_allocated, 0);
+        let flows = shard.obs.counter("flows");
+        assert!(flows > 1000, "need a real corpus: {flows}");
+        let allocs = shard.obs.snapshot().span_allocs;
+        for stage in ["ingest/destinations", "ingest/encryption", "ingest/pii"] {
+            assert_eq!(
+                allocs.get(stage).copied().unwrap_or_default(),
+                AllocStats::default(),
+                "{stage} must be allocation-free after warmup ({flows} flows)"
+            );
+        }
     }
 
     fn temp_journal(tag: &str) -> std::path::PathBuf {
@@ -1699,7 +1454,7 @@ mod tests {
         let mut plain = Pipeline::new();
         plain.run_campaign(tiny_config());
         let plain_json = plain.finish().to_json().dump();
-        for workers in [1usize, 2] {
+        for workers in [1usize, 2, 4] {
             let mut sup = Pipeline::new();
             let summary = sup
                 .run_campaign_supervised(tiny_config(), workers, &SupervisorConfig::default())
@@ -2061,15 +1816,73 @@ mod tests {
         assert!(multi_rep > 0, "corpus must contain repeated identities");
     }
 
+    /// Table 7's per-experiment samples, keyed by (site, vpn, device),
+    /// exactly as the table reads them.
+    fn table7_samples(p: &Pipeline) -> Vec<(LabSite, bool, &'static str, Vec<f64>)> {
+        let mut out = Vec::new();
+        for site in LabSite::all() {
+            for vpn in [false, true] {
+                for spec in catalog::all() {
+                    let samples = p.encryption.unencrypted_samples(spec.name, site, vpn);
+                    if !samples.is_empty() {
+                        out.push((site, vpn, spec.name, samples));
+                    }
+                }
+            }
+        }
+        out
+    }
+
     #[test]
-    fn worker_panic_becomes_quarantined_shard() {
-        let panicked: std::thread::Result<PipelineShard> =
-            std::thread::spawn(|| panic!("synthetic worker death")).join();
-        let shard = quarantine_result(panicked, 3, false);
-        assert_eq!(shard.ingest.shards_quarantined, 1);
-        assert_eq!(shard.ingest.stage_errors["worker_panic"], 1);
-        assert_eq!(shard.experiments, 0);
-        let healthy = quarantine_result(Ok(PipelineShard::new(false)), 0, false);
-        assert_eq!(healthy.ingest.shards_quarantined, 0);
+    fn table7_samples_are_identical_across_drivers_and_resume() {
+        let config = CampaignConfig {
+            include_vpn: true,
+            ..tiny_config()
+        };
+        let mut serial = Pipeline::new();
+        serial.run_campaign(config);
+        let reference = table7_samples(&serial);
+        // One sample per experiment with classified bytes, in every
+        // (site, vpn) context the campaign ran.
+        let sampled: usize = reference.iter().map(|(.., s)| s.len()).sum();
+        assert!(sampled as u64 > serial.experiments() / 2, "{sampled} samples");
+        assert!(reference.iter().any(|(_, vpn, ..)| *vpn));
+        assert!(reference
+            .iter()
+            .all(|(.., s)| s.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le())));
+        for workers in [2usize, 8] {
+            let mut sup = Pipeline::new();
+            sup.run_campaign_supervised(config, workers, &SupervisorConfig::default())
+                .unwrap();
+            assert_eq!(table7_samples(&sup), reference, "{workers} workers");
+        }
+
+        // Kill-then-resume: samples travel in the journal's encryption
+        // record and must come back bit for bit.
+        let path = temp_journal("table7");
+        let _ = std::fs::remove_file(&path);
+        let journaled = SupervisorConfig {
+            journal: Some(path.clone()),
+            ..SupervisorConfig::default()
+        };
+        Pipeline::new()
+            .run_campaign_supervised(config, 2, &journaled)
+            .unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let mut resumed = Pipeline::new();
+        let summary = resumed
+            .run_campaign_supervised(
+                config,
+                2,
+                &SupervisorConfig {
+                    resume: true,
+                    ..journaled
+                },
+            )
+            .unwrap();
+        assert!(summary.units_replayed > 0 && summary.units_run > 0, "{summary:?}");
+        assert_eq!(table7_samples(&resumed), reference, "kill-then-resume");
+        let _ = std::fs::remove_file(&path);
     }
 }

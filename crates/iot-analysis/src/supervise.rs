@@ -31,10 +31,10 @@
 //!   degraded runs; it rides in the pipeline report's `"coverage"` key
 //!   and is mirrored into the observability registry.
 //!
-//! # Journal format (v2)
+//! # Journal format (v3)
 //!
 //! ```text
-//! header:  magic "IOTJNL02" (8 bytes)
+//! header:  magic "IOTJNL03" (8 bytes)
 //!          fingerprint u64 LE   — digest of campaign config + fault
 //!                                 plan + supervision knobs
 //!          total_units u32 LE   — work units in the campaign grid
@@ -100,8 +100,9 @@ use std::time::{Duration, Instant};
 
 /// Journal magic, versioned: bump the trailing digits on any codec
 /// change so stale journals fail loudly instead of decoding garbage.
-/// v2 added the per-unit identity table to the header.
-pub const JOURNAL_MAGIC: &[u8; 8] = b"IOTJNL02";
+/// v2 added the per-unit identity table to the header; v3 added the
+/// Table 7 unencrypted-percentage samples to the encryption record.
+pub const JOURNAL_MAGIC: &[u8; 8] = b"IOTJNL03";
 
 /// Record start marker; a cheap first line of defense against torn or
 /// misaligned journals before the checksum is even consulted.
@@ -538,14 +539,16 @@ impl ToJson for Coverage {
 /// Everything one completed work unit (one lab × device slot of the
 /// campaign grid) contributed to the pipeline's result-bearing
 /// accumulators. Journaled after the unit finishes; replayed by merging
-/// into a fresh pipeline, which is exactly the fold the parallel driver
-/// performs — so replay cannot change the report.
+/// into a fresh pipeline, which is exactly the fold the supervised
+/// driver performs for every unit it runs — so replay cannot change the
+/// report.
 ///
 /// Deliberately *not* included: shard-local caches (label interning,
 /// compiled PII patterns, protocol memos) and the observability
 /// registry. The caches are result-neutral by construction; metrics
 /// describe work a process actually performed, so a resumed process
 /// reports only its own.
+#[derive(Default)]
 pub struct UnitDelta {
     /// Work-unit index in the campaign grid (`0..unit_count`).
     pub unit: u32,
@@ -677,6 +680,18 @@ fn decode_finding(r: &mut ByteReader<'_>) -> Result<PiiFinding, DecodeErr> {
 }
 
 impl UnitDelta {
+    /// Folds another delta into this one. Every member merges
+    /// commutatively, so the order units are folded in never shows in
+    /// the report.
+    pub fn merge(&mut self, other: UnitDelta) {
+        self.experiments += other.experiments;
+        self.ingest.merge(&other.ingest);
+        self.coverage.merge(&other.coverage);
+        self.destinations.merge(other.destinations);
+        self.encryption.merge(other.encryption);
+        self.pii.extend(other.pii);
+    }
+
     /// Serializes the delta to journal payload bytes. Accumulator map
     /// entries are emitted in sorted key order, so the same delta always
     /// produces the same bytes regardless of hash-map iteration order.
@@ -1190,7 +1205,7 @@ pub fn remove_rolled_segments(path: &Path) -> std::io::Result<()> {
 /// Digest of everything that determines a campaign's *result bytes*:
 /// the campaign config, the fault plan, and the supervision knobs that
 /// change what the ledger records (deadline, retry budget). Knobs that
-/// are report-neutral (backoff pacing, throttle, journal path) are
+/// are report-neutral (throttle, roll threshold, journal path) are
 /// deliberately excluded so operators can tune them between resume
 /// sessions.
 pub fn campaign_fingerprint(
@@ -1412,10 +1427,6 @@ pub struct SupervisorConfig {
     /// deadline-breaching stalls, total salvage loss). Zero disables
     /// retry and reproduces the un-supervised ledger exactly.
     pub max_retries: u32,
-    /// First retry's backoff sleep; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// Checkpoint journal path. `None` runs supervised (deadline,
     /// retry, coverage) without checkpointing.
     pub journal: Option<PathBuf>,
@@ -1438,8 +1449,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             deadline: None,
             max_retries: 0,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::from_secs(1),
             journal: None,
             resume: false,
             journal_roll_bytes: None,
@@ -1559,11 +1568,15 @@ mod tests {
             read_journal_bytes(b"NOTAMAGICxxxxxxxxxxxx"),
             Err(JournalError::BadMagic)
         ));
-        // Stale v1 journals must fail loudly, not decode garbage.
-        assert!(matches!(
-            read_journal_bytes(b"IOTJNL01\0\0\0\0\0\0\0\0\0\0\0\0"),
-            Err(JournalError::BadMagic)
-        ));
+        // Stale v1/v2 journals must fail loudly, not decode garbage.
+        for stale in [b"IOTJNL01", b"IOTJNL02"] {
+            let mut bytes = stale.to_vec();
+            bytes.extend_from_slice(&[0; 12]);
+            assert!(matches!(
+                read_journal_bytes(&bytes),
+                Err(JournalError::BadMagic)
+            ));
+        }
         let mut ok = Vec::new();
         ok.extend_from_slice(JOURNAL_MAGIC);
         ok.extend_from_slice(&7u64.to_le_bytes());

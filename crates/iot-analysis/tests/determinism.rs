@@ -1,13 +1,14 @@
 //! End-to-end determinism: the same campaign configuration must produce
 //! byte-identical report JSON through the serial driver and through the
-//! sharded parallel driver at every worker count — the contract that
-//! makes the parallel pipeline a drop-in replacement. The observability
+//! supervised multi-worker driver at every worker count — the contract
+//! that makes the worker pool a drop-in replacement. The observability
 //! layer must preserve both halves of that contract: instrumentation
 //! must not perturb the pipeline report, and the deterministic subset of
 //! the obs report (counters + histograms) must itself be a pure function
 //! of the corpus, independent of driver and worker count.
 
 use iot_analysis::pipeline::Pipeline;
+use iot_analysis::SupervisorConfig;
 use iot_core::json::ToJson;
 use iot_obs::{Registry, RunReport};
 use iot_testbed::schedule::CampaignConfig;
@@ -37,7 +38,10 @@ fn run_with_plan(
     }
     match parallel_workers {
         None => p.run_campaign(test_config()),
-        Some(w) => p.run_campaign_parallel(test_config(), w),
+        Some(w) => {
+            p.run_campaign_supervised(test_config(), w, &SupervisorConfig::default())
+                .expect("no journal involved");
+        }
     }
     let (report, reg) = p.finish_with_obs();
     (report.to_json().dump(), reg)

@@ -23,13 +23,17 @@ use iot_analysis::supervise::{
 };
 use iot_analysis::{DestinationAnalysis, EncryptionAnalysis};
 use iot_core::rng::StdRng;
-use iot_testbed::lab::LabSite;
+use iot_geodb::registry::GeoDb;
+use iot_testbed::experiment::run_power;
+use iot_testbed::lab::{Lab, LabSite};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 const FINGERPRINT: u64 = 0xF1A9_0000_DEAD_BEEF;
 const TOTAL_UNITS: u32 = 8;
 
-/// v2 header size for this grid: magic + fingerprint + count + 8
+/// v3 header size for this grid: magic + fingerprint + count + 8
 /// identity digests.
 const HEADER_LEN: usize = 8 + 8 + 4 + 8 * TOTAL_UNITS as usize;
 
@@ -42,9 +46,21 @@ fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("iot_fuzz_journal_{tag}_{}.jnl", std::process::id()))
 }
 
-/// A small but non-trivial delta: a real ledger, coverage cells, and a
-/// PII finding, so every codec branch (maps, options, enums, strings)
-/// is exercised by the fuzz corpus.
+/// A real encryption record: one power experiment's byte counters,
+/// Table 8 rows, and Table 7 sample, at native egress for even units and
+/// VPN egress for odd ones.
+fn encryption(unit: u32) -> EncryptionAnalysis {
+    let lab = Lab::deploy(LabSite::Us);
+    let dev = lab.device("Echo Dot").expect("Echo Dot is deployed in the US lab");
+    let mut enc = EncryptionAnalysis::default();
+    enc.add_experiment(&run_power(&GeoDb::new(), dev, unit % 2 == 1, unit, 0));
+    enc
+}
+
+/// A small but non-trivial delta: a real ledger, coverage cells, an
+/// encryption record, and a PII finding, so every codec branch (maps,
+/// options, enums, strings, float samples) is exercised by the fuzz
+/// corpus.
 fn delta(unit: u32) -> UnitDelta {
     let mut ingest = IngestStats::default();
     ingest.packets_generated = 1000 + u64::from(unit);
@@ -65,7 +81,7 @@ fn delta(unit: u32) -> UnitDelta {
         ingest,
         coverage,
         destinations: DestinationAnalysis::new(),
-        encryption: EncryptionAnalysis::default(),
+        encryption: encryption(unit),
         pii: vec![PiiFinding {
             device_name: "Echo Dot".to_string(),
             site: LabSite::Us,
@@ -80,10 +96,19 @@ fn delta(unit: u32) -> UnitDelta {
     }
 }
 
+/// The payload the writer produces for `unit`'s delta, encoded once.
+fn payload(unit: u32) -> &'static [u8] {
+    static PAYLOADS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    &PAYLOADS.get_or_init(|| (0..TOTAL_UNITS).map(|u| delta(u).encode()).collect())
+        [unit as usize]
+}
+
 /// Writes a well-formed journal with [`TOTAL_UNITS`]-many records and
 /// returns its bytes.
 fn well_formed() -> Vec<u8> {
-    let path = temp_path("wf");
+    // Tests run on parallel threads: each call writes its own file.
+    static CALLS: AtomicU32 = AtomicU32::new(0);
+    let path = temp_path(&format!("wf{}", CALLS.fetch_add(1, Ordering::Relaxed)));
     let _ = std::fs::remove_file(&path);
     let mut w = JournalWriter::create(&path, FINGERPRINT, &identities(), None).expect("create");
     for unit in 0..TOTAL_UNITS {
@@ -120,7 +145,7 @@ fn assert_salvage_sound(bytes: &[u8], original_units: u32) {
                 // exact payload the writer produced for this unit.
                 assert_eq!(
                     d.encode(),
-                    delta(d.unit).encode(),
+                    payload(d.unit),
                     "salvaged unit {} not byte-faithful",
                     d.unit
                 );
@@ -149,8 +174,36 @@ fn well_formed_journal_roundtrips_completely() {
     assert_eq!(contents.clean_len as usize, bytes.len());
     for (i, d) in contents.deltas.iter().enumerate() {
         assert_eq!(d.unit, i as u32);
-        assert_eq!(d.encode(), delta(d.unit).encode());
+        assert_eq!(d.encode(), payload(d.unit));
+        // The Table 7 samples travel in the encryption record, bit for bit.
+        let vpn = d.unit % 2 == 1;
+        let samples = d.encryption.unencrypted_samples("Echo Dot", LabSite::Us, vpn);
+        assert_eq!(samples.len(), 1, "unit {}", d.unit);
+        assert_eq!(
+            samples,
+            encryption(d.unit).unencrypted_samples("Echo Dot", LabSite::Us, vpn)
+        );
     }
+}
+
+#[test]
+fn v2_journals_are_refused_not_misread() {
+    // v3 appended the Table 7 samples to the encryption record, so a v2
+    // record would decode into the wrong fields: its magic is refused
+    // with the typed error, by the byte reader and the resume reader.
+    let mut v2 = well_formed();
+    v2[..8].copy_from_slice(b"IOTJNL02");
+    assert!(matches!(
+        read_journal_bytes(&v2),
+        Err(JournalError::BadMagic)
+    ));
+    let path = temp_path("v2");
+    std::fs::write(&path, &v2).expect("write v2 journal");
+    assert!(matches!(
+        read_journal_set(&path),
+        Err(JournalError::BadMagic)
+    ));
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -214,6 +267,7 @@ fn seeded_single_bit_flips_never_panic_or_invent_records() {
 #[test]
 fn seeded_random_blobs_never_panic() {
     let mut rng = StdRng::seed_from_u64(0x5EEDB10B);
+    let header = &well_formed()[..HEADER_LEN];
     for case in 0..64 {
         let len = (rng.next_u64() % 4096) as usize;
         let blob: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
@@ -229,7 +283,7 @@ fn seeded_random_blobs_never_panic() {
         }
         // And with a valid header grafted on, the random tail is pure
         // salvage input: typed errors are no longer acceptable.
-        let mut grafted = well_formed()[..HEADER_LEN].to_vec();
+        let mut grafted = header.to_vec();
         grafted.extend_from_slice(&blob);
         let contents = read_journal_bytes(&grafted)
             .unwrap_or_else(|e| panic!("case {case}: valid header + random tail refused: {e}"));
@@ -300,7 +354,7 @@ fn rotated_sets_salvage_under_truncation_and_refuse_foreign_segments() {
                     assert!(seen.insert(d.unit), "duplicate unit {} kept", d.unit);
                     assert_eq!(
                         d.encode(),
-                        delta(d.unit).encode(),
+                        payload(d.unit),
                         "salvaged unit {} not byte-faithful",
                         d.unit
                     );

@@ -8,9 +8,10 @@
 //! * The deterministic Chrome-trace subset must stay a pure function of
 //!   the corpus even when faults (including injected panics) are being
 //!   caught and quarantined: byte-identical across the serial driver and
-//!   1/2/8 parallel workers.
+//!   1/2/8 supervised workers.
 
 use iot_analysis::pipeline::Pipeline;
+use iot_analysis::SupervisorConfig;
 use iot_chaos::FaultPlan;
 use iot_obs::{chrome_trace, EventKind, Registry, TraceMode};
 use iot_testbed::schedule::CampaignConfig;
@@ -40,7 +41,10 @@ fn run_faulted(workers: Option<usize>) -> (iot_analysis::pipeline::PipelineRepor
     p.set_fault_plan(faulted_plan());
     match workers {
         None => p.run_campaign(config()),
-        Some(w) => p.run_campaign_parallel(config(), w),
+        Some(w) => {
+            p.run_campaign_supervised(config(), w, &SupervisorConfig::default())
+                .expect("no journal involved");
+        }
     }
     p.finish_with_obs()
 }

@@ -7,6 +7,7 @@
 //! enforces in CI, kept here so `cargo test` alone catches a violation.
 
 use iot_analysis::pipeline::Pipeline;
+use iot_analysis::SupervisorConfig;
 use iot_core::json::ToJson;
 use iot_testbed::schedule::CampaignConfig;
 
@@ -31,7 +32,8 @@ fn reports_stay_byte_identical_with_sampler_armed() {
 
     for workers in [1usize, 2, 8] {
         let mut p = Pipeline::with_obs(true);
-        p.run_campaign_parallel(tiny(), workers);
+        p.run_campaign_supervised(tiny(), workers, &SupervisorConfig::default())
+            .expect("no journal involved");
         assert_eq!(
             p.finish().to_json().dump(),
             reference,

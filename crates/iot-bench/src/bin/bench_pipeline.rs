@@ -2,9 +2,9 @@
 //!
 //! Runs the full analysis pipeline (destinations + encryption + PII over
 //! a complete campaign, controlled and idle) once per timed iteration,
-//! first through the serial driver and then through the sharded parallel
-//! driver, verifies the two reports are byte-identical, and writes the
-//! timing summary to `BENCH_pipeline.json`.
+//! first through the serial driver and then through the supervised
+//! multi-worker driver, verifies the two reports are byte-identical,
+//! and writes the timing summary to `BENCH_pipeline.json`.
 //!
 //! The baseline benches force observability *and* allocator counting
 //! *off* (regardless of `IOT_OBS` / `IOT_OBS_ALLOC`, so the committed
@@ -47,6 +47,7 @@
 //!   sampler live, so sampling is continuously proven report-neutral.
 
 use iot_analysis::pipeline::Pipeline;
+use iot_analysis::SupervisorConfig;
 use iot_bench::harness::bench;
 use iot_bench::{campaign_config, Scale};
 use iot_core::json::{Json, ToJson};
@@ -69,10 +70,17 @@ fn serial_report_json(config: CampaignConfig, obs: bool) -> String {
     p.finish().to_json().dump()
 }
 
+/// A run of the multi-worker driver: supervised with default knobs,
+/// which is report-identical to the serial driver.
+fn run_parallel(config: CampaignConfig, workers: usize, obs: bool) -> Pipeline {
+    let mut p = Pipeline::with_obs(obs);
+    p.run_campaign_supervised(config, workers, &SupervisorConfig::default())
+        .expect("no journal involved");
+    p
+}
+
 fn parallel_report_json(config: CampaignConfig, workers: usize) -> String {
-    let mut p = Pipeline::with_obs(false);
-    p.run_campaign_parallel(config, workers);
-    p.finish().to_json().dump()
+    run_parallel(config, workers, false).finish().to_json().dump()
 }
 
 fn main() {
@@ -147,11 +155,7 @@ fn main() {
     // Start the profile artifact from a clean accumulator so it covers
     // exactly the instrumented runs below, not the gate runs above.
     iot_obs::profile::reset();
-    let (obs_report, obs_registry) = {
-        let mut p = Pipeline::with_obs(true);
-        p.run_campaign_parallel(config, workers);
-        p.finish_with_obs()
-    };
+    let (obs_report, obs_registry) = run_parallel(config, workers, true).finish_with_obs();
     let obs_identical = obs_report.to_json().dump() == serial_json;
     if !obs_identical {
         eprintln!("bench_pipeline: FAIL — instrumented report diverged from baseline");

@@ -128,15 +128,13 @@ fn mix_delta(a: &Headline, b: &Headline) -> f64 {
     worst
 }
 
-fn run(config: CampaignConfig, plan: Option<FaultPlan>, workers: Option<usize>) -> PipelineReport {
+/// A serial run, the baseline every multi-worker run is held to.
+fn run(config: CampaignConfig, plan: Option<FaultPlan>) -> PipelineReport {
     let mut p = Pipeline::with_obs(false);
     if let Some(plan) = plan {
         p.set_fault_plan(plan);
     }
-    match workers {
-        None => p.run_campaign(config),
-        Some(w) => p.run_campaign_parallel(config, w),
-    }
+    p.run_campaign(config);
     p.finish()
 }
 
@@ -152,6 +150,24 @@ fn run_supervised(
         .run_campaign_supervised(config, workers, sup)
         .map_err(|e| format!("supervised run ({workers} workers): {e}"))?;
     Ok((p.finish(), summary))
+}
+
+/// Every worker count of [`WORKER_GRID`] must reproduce `expected`, the
+/// serial (or 1-worker) report, byte for byte.
+fn check_worker_grid(
+    stage: &str,
+    expected: &str,
+    config: CampaignConfig,
+    plan: FaultPlan,
+    sup: &SupervisorConfig,
+) -> Result<(), String> {
+    for workers in WORKER_GRID {
+        let (report, _) = run_supervised(config, plan, workers, sup)?;
+        if report.to_json().dump() != expected {
+            return Err(format!("{stage}: {workers}-worker report diverged from serial"));
+        }
+    }
+    Ok(())
 }
 
 /// Gate 2: the report must serialize to JSON the in-tree parser accepts.
@@ -203,7 +219,7 @@ fn check(out_path: &str) -> Result<(), String> {
 
     // Clean baseline for identity and drift comparisons.
     let t = Instant::now();
-    let baseline = run(config, None, None);
+    let baseline = run(config, None);
     let baseline_json = check_valid_json("baseline", &baseline)?;
     if !baseline.ingest.is_clean() || !baseline.ingest.reconciles() {
         return Err(format!(
@@ -220,7 +236,7 @@ fn check(out_path: &str) -> Result<(), String> {
     );
 
     // Gate 4a: an armed all-zero-rate plan is an exact identity.
-    let armed_clean = run(config, Some(FaultPlan::clean(seed)), None);
+    let armed_clean = run(config, Some(FaultPlan::clean(seed)));
     if check_valid_json("clean-plan", &armed_clean)? != baseline_json {
         return Err("clean fault plan changed the report: degrade→salvage \
                     round-trip is not an identity"
@@ -228,11 +244,12 @@ fn check(out_path: &str) -> Result<(), String> {
     }
     println!("chaos_check: clean-plan identity OK");
 
+    let default_sup = SupervisorConfig::default();
     let mut sweep = Vec::new();
     for &rate in &rates {
         let t = Instant::now();
         let plan = FaultPlan::uniform(seed, rate);
-        let serial = run(config, Some(plan), None);
+        let serial = run(config, Some(plan));
         let serial_json = check_valid_json(&format!("rate {rate}"), &serial)?;
         let ingest = &serial.ingest;
 
@@ -256,14 +273,7 @@ fn check(out_path: &str) -> Result<(), String> {
         }
 
         // Gate 4b: byte-identity across drivers under faults.
-        for workers in WORKER_GRID {
-            let parallel = run(config, Some(plan), Some(workers));
-            if parallel.to_json().dump() != serial_json {
-                return Err(format!(
-                    "rate {rate}: {workers}-worker report diverged from serial"
-                ));
-            }
-        }
+        check_worker_grid(&format!("rate {rate}"), &serial_json, config, plan, &default_sup)?;
 
         // Gate 5: bounded drift at low rates.
         let h = headline(&serial);
@@ -323,7 +333,7 @@ fn check(out_path: &str) -> Result<(), String> {
         panic_rate: PANIC_RATE,
         ..FaultPlan::uniform(seed, 0.01)
     };
-    let serial = run(config, Some(panic_plan), None);
+    let serial = run(config, Some(panic_plan));
     let serial_json = check_valid_json("panic stage", &serial)?;
     let ingest = &serial.ingest;
     if ingest.experiments_quarantined == 0 {
@@ -340,14 +350,7 @@ fn check(out_path: &str) -> Result<(), String> {
             serial.experiments, ingest.experiments_quarantined, base.experiments
         ));
     }
-    for workers in WORKER_GRID {
-        let parallel = run(config, Some(panic_plan), Some(workers));
-        if parallel.to_json().dump() != serial_json {
-            return Err(format!(
-                "panic stage: {workers}-worker report diverged from serial"
-            ));
-        }
-    }
+    check_worker_grid("panic stage", &serial_json, config, panic_plan, &default_sup)?;
     println!(
         "chaos_check: panic stage: {} of {} experiments quarantined, run survived ({:.1}s)",
         ingest.experiments_quarantined,
@@ -394,14 +397,7 @@ fn check(out_path: &str) -> Result<(), String> {
     if !stall_base.coverage.is_degraded() {
         return Err("stall stage: quarantines did not degrade the coverage manifest".to_string());
     }
-    for workers in WORKER_GRID {
-        let (parallel, _) = run_supervised(config, stall_plan, workers, &stall_sup)?;
-        if parallel.to_json().dump() != stall_json {
-            return Err(format!(
-                "stall stage: {workers}-worker report diverged from serial"
-            ));
-        }
-    }
+    check_worker_grid("stall stage", &stall_json, config, stall_plan, &stall_sup)?;
     println!(
         "chaos_check: stall stage: {stalled} of {} experiments quarantined at the deadline, \
          drivers identical ({:.1}s)",
@@ -439,14 +435,7 @@ fn check(out_path: &str) -> Result<(), String> {
              {no_retry_quarantined} without — retries rescued nothing"
         ));
     }
-    for workers in WORKER_GRID {
-        let (parallel, _) = run_supervised(config, panic_plan, workers, &retry_sup)?;
-        if parallel.to_json().dump() != retry_json {
-            return Err(format!(
-                "retry stage: {workers}-worker report diverged from serial"
-            ));
-        }
-    }
+    check_worker_grid("retry stage", &retry_json, config, panic_plan, &retry_sup)?;
     let (rerun, _) = run_supervised(config, panic_plan, 1, &retry_sup)?;
     if rerun.to_json().dump() != retry_json {
         return Err("retry stage: repeated run diverged — retry draws are not seed-stable"

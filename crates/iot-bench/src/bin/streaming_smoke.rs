@@ -5,7 +5,7 @@
 //! Gates (any failure exits non-zero):
 //!
 //! 1. **Driver identity, clean:** the serial report is byte-identical
-//!    to the parallel drivers at 1, 2, and 8 workers.
+//!    to the supervised driver at 1, 2, and 8 workers.
 //! 2. **Driver identity, faulted:** the same four-way identity holds
 //!    with a fault plan armed, so the degrade → lenient-salvage →
 //!    re-encode path is deterministic across drivers too.
@@ -14,10 +14,16 @@
 //!    half the materializing pipeline's committed 4,322,984-byte
 //!    baseline, so a regression back to packet-vector ingest fails
 //!    loudly).
-//! 4. **Bounded RSS:** the kernel's `VmHWM` for this process stays
+//! 4. **Bounded supervised heap:** a 2-worker supervised campaign with
+//!    observability and heap counting on stays under a fixed 32 MB
+//!    high-water. Each worker reuses one shard (registry ring, caches,
+//!    entropy scratch) across units; a shard per unit held to the end
+//!    of the run measured 519.5 MB here.
+//! 5. **Bounded RSS:** the kernel's `VmHWM` for this process stays
 //!    under `IOT_STREAMING_RSS_CEILING` bytes (default 64 MB).
 
 use iot_analysis::pipeline::Pipeline;
+use iot_analysis::SupervisorConfig;
 use iot_bench::{campaign_config, Scale};
 use iot_chaos::FaultPlan;
 use iot_core::json::ToJson;
@@ -25,6 +31,7 @@ use iot_testbed::schedule::CampaignConfig;
 
 const DEFAULT_HW_CEILING: u64 = 2_161_492;
 const DEFAULT_RSS_CEILING: u64 = 64 * 1024 * 1024;
+const SUPERVISED_HW_CEILING: u64 = 32_000_000;
 
 fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key)
@@ -41,7 +48,10 @@ fn report(config: CampaignConfig, fault: Option<FaultPlan>, workers: Option<usiz
     }
     match workers {
         None => p.run_campaign(config),
-        Some(w) => p.run_campaign_parallel(config, w),
+        Some(w) => {
+            p.run_campaign_supervised(config, w, &SupervisorConfig::default())
+                .expect("no journal involved");
+        }
     }
     p.finish().to_json().dump()
 }
@@ -97,7 +107,37 @@ fn main() {
         failures += 1;
     }
 
-    // Gate 4: kernel-observed peak RSS for the whole process.
+    // Gate 4: heap high-water of an instrumented 2-worker supervised
+    // campaign, whose registries reserve a full flight-recorder ring
+    // each — bounded only while there is one per worker.
+    iot_obs::alloc::set_enabled(true);
+    iot_obs::alloc::reset_high_water();
+    let supervised = {
+        let mut p = Pipeline::with_obs(true);
+        p.run_campaign_supervised(config, 2, &SupervisorConfig::default())
+            .expect("no journal involved");
+        p.finish().to_json().dump()
+    };
+    let sup_high_water = iot_obs::alloc::process_high_water_bytes();
+    iot_obs::alloc::set_enabled(false);
+    if supervised != clean_serial {
+        eprintln!("streaming_smoke: FAIL — instrumented supervised report diverged from serial");
+        failures += 1;
+    }
+    if sup_high_water <= SUPERVISED_HW_CEILING {
+        println!(
+            "streaming_smoke: supervised heap high-water {sup_high_water} B <= \
+             ceiling {SUPERVISED_HW_CEILING} B"
+        );
+    } else {
+        eprintln!(
+            "streaming_smoke: FAIL — supervised heap high-water {sup_high_water} B \
+             exceeds ceiling {SUPERVISED_HW_CEILING} B (per-unit shards retained?)"
+        );
+        failures += 1;
+    }
+
+    // Gate 5: kernel-observed peak RSS for the whole process.
     match iot_obs::process::peak_rss_bytes() {
         Some(rss) if rss <= rss_ceiling => {
             println!("streaming_smoke: peak RSS {rss} B <= ceiling {rss_ceiling} B");

@@ -1,6 +1,6 @@
 //! Differential runs: the same campaign executed through every driver —
-//! serial, 1/2/8-worker parallel, serial with an armed all-zero chaos
-//! plan, every parallel width under a *non-clean* fault plan, and an
+//! serial, 1/2/8-worker supervised, serial with an armed all-zero chaos
+//! plan, every worker count under a *non-clean* fault plan, and an
 //! interrupted-then-resumed supervised run against its straight-through
 //! twin — compared field by field.
 //!
@@ -73,7 +73,10 @@ fn run(config: CampaignConfig, plan: Option<FaultPlan>, workers: Option<usize>) 
     }
     match workers {
         None => p.run_campaign(config),
-        Some(w) => p.run_campaign_parallel(config, w),
+        Some(w) => {
+            p.run_campaign_supervised(config, w, &SupervisorConfig::default())
+                .expect("no journal involved");
+        }
     }
     p.finish()
 }
@@ -120,7 +123,7 @@ pub fn check_drivers(config: CampaignConfig) -> (PipelineReport, Vec<Violation>)
 }
 
 /// The faulted sweep: the same *non-clean* plan run serially and at
-/// every parallel width must agree field by field — fault draws are
+/// every worker count must agree field by field — fault draws are
 /// keyed by experiment identity, never by driver or schedule. The check
 /// also guards its own vacuity: a plan that never bites is a finding.
 pub fn check_drivers_faulted(config: CampaignConfig) -> Vec<Violation> {

@@ -5,7 +5,7 @@
 //! ```text
 //! moniotr devices                              list the 81-device catalog
 //! moniotr capture <device> [uk] [vpn] [DIR]    run power + all interactions → pcap dir
-//! moniotr analyze <device-dir>                 destinations / encryption / PII per label
+//! moniotr analyze DIR/<us|uk>/<device-id>      destinations / encryption / PII per label
 //! moniotr idle <device> <hours>                idle capture + traffic-unit summary
 //! moniotr campaign [quick|medium|full] [workers N] [--serve ADDR] [--trace-out PATH]
 //!                  [--journal PATH | --resume PATH] [--deadline-ms N]
@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: moniotr devices\n       moniotr capture <device> [uk] [vpn] [out-dir]\n       \
-     moniotr analyze <device-dir>\n       moniotr idle <device> <hours>\n       \
+     moniotr analyze <dir>/<us|uk>/<device-id>\n       moniotr idle <device> <hours>\n       \
      moniotr campaign [quick|medium|full] [workers N] [--serve ADDR] [--trace-out PATH]\n                \
      [--journal PATH | --resume PATH] [--deadline-ms N] [--max-retries N]\n                \
      [--report-out PATH]\n       \
@@ -169,15 +169,26 @@ fn cmd_capture(args: &[String]) -> CliResult {
 }
 
 fn cmd_analyze(args: &[String]) -> CliResult {
-    let dir = args.first().ok_or("analyze: device directory required")?;
+    let dir = args
+        .first()
+        .ok_or_else(|| usage_err("analyze: device directory required"))?;
     let dir = Path::new(dir);
     let device_id = dir
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or("analyze: bad path")?;
+    // The lab is read off the `capture` layout, `<out>/<us|uk>/<device>`:
+    // it selects the identity and PII patterns the scan looks for, so a
+    // directory outside that layout is refused rather than guessed at.
     let site = match dir.parent().and_then(|p| p.file_name()).and_then(|n| n.to_str()) {
+        Some("us") => LabSite::Us,
         Some("uk") => LabSite::Uk,
-        _ => LabSite::Us,
+        _ => {
+            return Err(usage_err(format!(
+                "analyze: {} is not inside a us/ or uk/ lab directory",
+                dir.display()
+            )))
+        }
     };
     let spec = catalog::all()
         .iter()
@@ -363,45 +374,39 @@ fn cmd_campaign(args: &[String]) -> CliResult {
         "campaign: scale={} workers={workers} (obs on)",
         scale.name()
     );
+    // Unset flags leave the supervisor at its defaults, which reproduce
+    // the plain driver's report byte for byte.
     let supervised =
         journal.is_some() || resume.is_some() || deadline_ms.is_some() || max_retries > 0;
-    let mut p = Pipeline::with_obs(true);
-    let summary = if supervised {
-        use intl_iot::analysis::SupervisorConfig;
-        let mut sup = SupervisorConfig::default();
-        if let Some(path) = resume {
-            sup.journal = Some(path);
-            sup.resume = true;
-        } else {
-            sup.journal = journal;
-        }
-        sup.deadline = deadline_ms.map(std::time::Duration::from_millis);
-        sup.max_retries = max_retries;
-        // Test hook: slow the unit loop down so an external killer can
-        // reliably interrupt a quick campaign mid-journal.
-        if let Some(ms) = std::env::var("IOT_SUPERVISE_THROTTLE_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            sup.unit_throttle = std::time::Duration::from_millis(ms);
-        }
-        // Roll the journal into numbered segments past this size; resume
-        // reads the whole set and compacts it back to one file.
-        if let Some(bytes) = std::env::var("IOT_JOURNAL_ROLL_BYTES")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&b| b > 0)
-        {
-            sup.journal_roll_bytes = Some(bytes);
-        }
-        Some(p.run_campaign_supervised(config, workers, &sup)?)
-    } else {
-        p.run_campaign_parallel(config, workers);
-        None
+    let mut sup = intl_iot::analysis::SupervisorConfig {
+        resume: resume.is_some(),
+        journal: resume.or(journal),
+        deadline: deadline_ms.map(std::time::Duration::from_millis),
+        max_retries,
+        ..Default::default()
     };
+    // Test hook: slow the unit loop down so an external killer can
+    // reliably interrupt a quick campaign mid-journal.
+    if let Some(ms) = std::env::var("IOT_SUPERVISE_THROTTLE_MS")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+    {
+        sup.unit_throttle = std::time::Duration::from_millis(ms);
+    }
+    // Roll the journal into numbered segments past this size; resume
+    // reads the whole set and compacts it back to one file.
+    if let Some(bytes) = std::env::var("IOT_JOURNAL_ROLL_BYTES")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .filter(|&b| b > 0)
+    {
+        sup.journal_roll_bytes = Some(bytes);
+    }
+    let mut p = Pipeline::with_obs(true);
+    let s = p.run_campaign_supervised(config, workers, &sup)?;
     let (report, reg) = p.finish_with_obs();
 
-    if let Some(s) = &summary {
+    if supervised {
         let salvage = s
             .salvage
             .as_ref()

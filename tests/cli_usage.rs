@@ -55,6 +55,16 @@ fn supervision_flags_validate_their_values() {
 }
 
 #[test]
+fn analyze_refuses_directories_outside_the_lab_layout() {
+    // The lab is read off `<dir>/<us|uk>/<device-id>`; anything else
+    // would be scanned against the wrong lab's identity and patterns.
+    assert_usage_exit(&["analyze", "captures/echo_dot"]);
+    assert_usage_exit(&["analyze", "captures/US-lab/echo_dot"]);
+    assert_usage_exit(&["analyze", "echo_dot"]);
+    assert_usage_exit(&["analyze"]);
+}
+
+#[test]
 fn resume_with_missing_journal_is_a_runtime_error_not_usage() {
     // The flag parses; the missing file fails at run time with exit 1.
     let out = moniotr(&[

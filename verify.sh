@@ -4,10 +4,11 @@
 # 1. Release build + full test suite with the network disabled — proves
 #    the zero-dependency policy holds (no crates.io access is ever
 #    needed).
-# 2. A quick-scale run of the serial-vs-parallel pipeline benchmark,
+# 2. A quick-scale run of the serial-vs-multi-worker pipeline benchmark,
 #    with observability enabled so it also emits an obs run report.
-#    bench_pipeline exits non-zero if the parallel report diverges from
-#    the serial one, so divergence fails this script.
+#    bench_pipeline exits non-zero if the multi-worker (supervised)
+#    report diverges from the serial one, so divergence fails this
+#    script.
 # 3. obs_check: the observability smoke test — the run report must parse,
 #    its stage counters must be non-zero, the measured instrumentation
 #    overhead must stay under 5% (with the sampling profiler armed, so
@@ -41,8 +42,9 @@
 # 8. streaming smoke: the zero-copy cursor pipeline's bounded-memory
 #    and determinism gates — serial vs 1/2/8-worker byte-identity on
 #    clean and faulted campaigns, heap high-water under half the old
-#    materializing baseline, and kernel peak RSS (VmHWM) under a hard
-#    ceiling.
+#    materializing baseline, an instrumented 2-worker supervised
+#    campaign's heap high-water under 32 MB, and kernel peak RSS
+#    (VmHWM) under a hard ceiling.
 # 9. oracle_check: the correctness oracle — conservation-law invariants
 #    over the finished report (ledger reconciliation, percentage sums,
 #    catalog-backed PII findings, recounts from live accumulators),
@@ -51,6 +53,9 @@
 #    every driver, and invariant classes over the committed
 #    results/*.json table artifacts (well-formed emit shape, pinned row
 #    counts, percentage sums). Any violation fails this script.
+#    The same results pillar then checks a fresh quick-scale run of the
+#    `tables` binary in a scratch results directory, so the table path
+#    itself is gated on every verify, not only the committed artifacts.
 #    Opt-in: ORACLE_SCALE=medium (or the --nightly flag) additionally
 #    reruns the oracle on the medium campaign grid, warn-only, with the
 #    instrumented allocator counting so the run prints the campaign's
@@ -80,11 +85,11 @@ cargo test -q
 echo "=== workspace tests ==="
 cargo test -q --workspace
 
-echo "=== bench: serial vs parallel pipeline (quick scale, obs on) ==="
+echo "=== bench: serial vs multi-worker pipeline (quick scale, obs on) ==="
 cargo build --release -p iot-bench \
   --bin bench_pipeline --bin obs_check --bin obs_serve_check \
   --bin bench_trend --bin profile_diff --bin chaos_check --bin oracle_check \
-  --bin streaming_smoke
+  --bin streaming_smoke --bin tables
 # Write to scratch paths so routine verification never clobbers the
 # committed BENCH_pipeline.json baseline (regenerate that explicitly
 # with the bench binary's defaults). IOT_OBS=1 makes the run emit the
@@ -141,8 +146,8 @@ IOT_SCALE=quick \
   ./target/release/chaos_check
 
 echo "=== supervise smoke: journaled campaign, SIGKILL mid-run, resume ==="
-# Uninterrupted reference (the plain parallel driver: supervised runs
-# must be byte-identical to it, interrupted or not).
+# Uninterrupted reference (no journal, default supervision knobs):
+# journaled runs must be byte-identical to it, interrupted or not.
 ./target/release/moniotr campaign quick workers 2 \
   --report-out target/supervise_ref.json >/dev/null
 # Journaled run, slowed enough that the kill reliably lands mid-run,
@@ -173,6 +178,14 @@ echo "=== streaming smoke: bounded memory + cursor driver identity ==="
 echo "=== oracle: invariants + metamorphic relations + differential runs ==="
 IOT_SCALE=quick \
   IOT_ORACLE_OUT="${IOT_ORACLE_OUT:-target/oracle_check.json}" \
+  ./target/release/oracle_check
+
+echo "=== tables: quick-scale regeneration + results pillar on the fresh artifacts ==="
+rm -rf target/verify_results
+IOT_SCALE=quick IOT_RESULTS_DIR=target/verify_results \
+  ./target/release/tables >/dev/null
+IOT_SCALE=quick IOT_RESULTS_DIR=target/verify_results \
+  IOT_ORACLE_OUT=target/oracle_check_tables.json \
   ./target/release/oracle_check
 
 # Deeper sweep: the medium-scale oracle, part of the nightly tier
