@@ -62,7 +62,7 @@ mod tests {
         );
         sizes_and_ts
             .iter()
-            .map(|&(size, ts)| b.udp(ts, 4000, 443, &vec![0u8; size]))
+            .map(|&(size, ts)| b.udp_packet(ts, 4000, 443, &vec![0u8; size]))
             .collect()
     }
 

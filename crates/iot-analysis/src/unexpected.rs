@@ -183,7 +183,7 @@ mod tests {
             Ipv4Addr::new(192, 168, 10, 4),
             Ipv4Addr::new(8, 8, 8, 8),
         );
-        b.udp(ts, 4000, 9999, b"x")
+        b.udp_packet(ts, 4000, 9999, b"x")
     }
 
     #[test]

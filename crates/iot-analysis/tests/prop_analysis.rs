@@ -31,7 +31,7 @@ fn random_packets(rng: &mut StdRng) -> Vec<Packet> {
     );
     specs
         .into_iter()
-        .map(|(ts, payload)| b.udp(ts, 40000, 9999, &payload))
+        .map(|(ts, payload)| b.udp_packet(ts, 40000, 9999, &payload))
         .collect()
 }
 

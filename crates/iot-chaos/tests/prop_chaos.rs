@@ -26,9 +26,9 @@ fn capture(rng: &mut StdRng) -> Vec<Packet> {
             ts += rng.gen_range(100..50_000u64);
             let payload = vec![rng.gen_range(0..256u32) as u8; rng.gen_range(0..300usize)];
             if rng.gen_bool(0.5) {
-                b.tcp(ts, 49000 + i as u16, 443, i as u32, 0, TcpFlags::ACK, &payload)
+                b.tcp_packet(ts, 49000 + i as u16, 443, i as u32, 0, TcpFlags::ACK, &payload)
             } else {
-                b.udp(ts, 50000 + i as u16, 53, &payload)
+                b.udp_packet(ts, 50000 + i as u16, 53, &payload)
             }
         })
         .collect()

@@ -21,7 +21,18 @@ pub fn rng(seed: u64) -> StdRng {
 
 /// Uniform random bytes: stands in for TLS/AES ciphertext.
 pub fn ciphertext(rng: &mut StdRng, len: usize) -> Vec<u8> {
-    (0..len).map(|_| rng.gen()).collect()
+    let mut out = Vec::with_capacity(len);
+    ciphertext_into(rng, len, &mut out);
+    out
+}
+
+/// [`ciphertext`], appended to `out`: one draw per byte.
+pub fn ciphertext_into(rng: &mut StdRng, len: usize, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + len, 0);
+    for b in &mut out[start..] {
+        *b = rng.gen();
+    }
 }
 
 const BASE64_ALPHABET: &[u8; 64] =
@@ -30,9 +41,18 @@ const BASE64_ALPHABET: &[u8; 64] =
 /// Base64 text over random data: stands in for fernet-style tokens, whose
 /// 64-symbol alphabet caps normalized entropy at 6/8 = 0.75.
 pub fn fernet_like(rng: &mut StdRng, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|_| BASE64_ALPHABET[rng.gen_range(0..64)])
-        .collect()
+    let mut out = Vec::with_capacity(len);
+    fernet_like_into(rng, len, &mut out);
+    out
+}
+
+/// [`fernet_like`], appended to `out`: one draw per byte.
+pub fn fernet_like_into(rng: &mut StdRng, len: usize, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + len, 0);
+    for b in &mut out[start..] {
+        *b = BASE64_ALPHABET[rng.gen_range(0..64)];
+    }
 }
 
 /// Style of textual plaintext to generate.
@@ -56,21 +76,31 @@ const WORDS: &[&str] = &[
 /// Textual plaintext in the requested style.
 pub fn text_like(rng: &mut StdRng, len: usize, style: TextStyle) -> Vec<u8> {
     let mut out = Vec::with_capacity(len + 16);
+    text_like_into(rng, len, style, &mut out);
+    out
+}
+
+/// [`text_like`], appended to `out`.
+pub fn text_like_into(rng: &mut StdRng, len: usize, style: TextStyle, out: &mut Vec<u8>) {
+    let start = out.len();
     match style {
         TextStyle::Telemetry => {
             // Hex-coded sensor registers, zero-dominated like mostly-idle
             // hardware, e.g. "0000,00a1,0300,".
             const REST: &[u8; 16] = b"123456789abcdef,";
-            while out.len() < len {
-                out.push(if rng.gen_bool(0.7) {
+            out.resize(start + len, 0);
+            for b in &mut out[start..] {
+                *b = if rng.gen_bool(0.7) {
                     b'0'
                 } else {
                     REST[rng.gen_range(0..REST.len())]
-                });
+                };
             }
         }
         TextStyle::WebPage => {
-            while out.len() < len {
+            // Every token is at most 16 bytes, so this never reallocates.
+            out.reserve(len + 16);
+            while out.len() - start < len {
                 match rng.gen_range(0..10) {
                     0 => out.extend_from_slice(b"<div class=\"c\">"),
                     1 => out.extend_from_slice(b"</div> "),
@@ -80,10 +110,9 @@ pub fn text_like(rng: &mut StdRng, len: usize, style: TextStyle) -> Vec<u8> {
                     }
                 }
             }
+            out.truncate(start + len);
         }
     }
-    out.truncate(len);
-    out
 }
 
 /// Compressed-media-like bytes: mostly random (compressed macroblocks)
@@ -91,26 +120,29 @@ pub fn text_like(rng: &mut StdRng, len: usize, style: TextStyle) -> Vec<u8> {
 /// the paper's H≈0.873 measurement for unencrypted phone video.
 pub fn media_like(rng: &mut StdRng, len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
+    media_like_into(rng, len, &mut out);
+    out
+}
+
+/// [`media_like`], appended to `out`. The header and every burst are
+/// drawn whole even where they run past `len`; the tail is cut after.
+pub fn media_like_into(rng: &mut StdRng, len: usize, out: &mut Vec<u8>) {
+    let end = out.len() + len;
     // Streams open with a vendor-proprietary wrapper header (compressed,
     // random-looking), NOT a bare container signature: §5.1's magic-byte
     // filter intentionally misses these, leaving them to entropy analysis.
     let header = rng.gen_range(16..48);
-    for _ in 0..header {
-        out.push(rng.gen());
-    }
-    while out.len() < len {
+    ciphertext_into(rng, header, out);
+    while out.len() < end {
         // A NAL-unit-like start code followed by a burst of compressed data
         // and a short zero-padding run.
         out.extend_from_slice(&[0x00, 0x00, 0x00, 0x01]);
         let burst = rng.gen_range(48..160);
-        for _ in 0..burst {
-            out.push(rng.gen());
-        }
+        ciphertext_into(rng, burst, out);
         let pad = rng.gen_range(8..24);
-        out.extend(std::iter::repeat(0u8).take(pad));
+        out.resize(out.len() + pad, 0);
     }
-    out.truncate(len);
-    out
+    out.truncate(end);
 }
 
 /// Key-value plaintext carrying explicit fields (used for device check-ins
@@ -226,6 +258,142 @@ mod tests {
         assert!(text.contains("fw=1.2.3&"));
         assert!(data.len() >= 200);
         assert!(normalized_entropy(&data) < 0.4, "check-in payload must read as plaintext");
+    }
+
+    /// The per-byte generators the `_into` forms replaced, kept as the
+    /// reference for their output and their RNG draws.
+    mod per_byte {
+        use super::super::{TextStyle, BASE64_ALPHABET, WORDS};
+        use iot_core::rng::StdRng;
+
+        pub fn ciphertext(rng: &mut StdRng, len: usize) -> Vec<u8> {
+            (0..len).map(|_| rng.gen()).collect()
+        }
+
+        pub fn fernet_like(rng: &mut StdRng, len: usize) -> Vec<u8> {
+            (0..len)
+                .map(|_| BASE64_ALPHABET[rng.gen_range(0..64)])
+                .collect()
+        }
+
+        pub fn text_like(rng: &mut StdRng, len: usize, style: TextStyle) -> Vec<u8> {
+            let mut out = Vec::new();
+            match style {
+                TextStyle::Telemetry => {
+                    const REST: &[u8; 16] = b"123456789abcdef,";
+                    while out.len() < len {
+                        out.push(if rng.gen_bool(0.7) {
+                            b'0'
+                        } else {
+                            REST[rng.gen_range(0..REST.len())]
+                        });
+                    }
+                }
+                TextStyle::WebPage => {
+                    while out.len() < len {
+                        match rng.gen_range(0..10) {
+                            0 => out.extend_from_slice(b"<div class=\"c\">"),
+                            1 => out.extend_from_slice(b"</div> "),
+                            _ => {
+                                out.extend_from_slice(
+                                    WORDS[rng.gen_range(0..WORDS.len())].as_bytes(),
+                                );
+                                out.push(b' ');
+                            }
+                        }
+                    }
+                }
+            }
+            out.truncate(len);
+            out
+        }
+
+        pub fn media_like(rng: &mut StdRng, len: usize) -> Vec<u8> {
+            let mut out = Vec::new();
+            let header = rng.gen_range(16..48);
+            for _ in 0..header {
+                out.push(rng.gen());
+            }
+            while out.len() < len {
+                out.extend_from_slice(&[0x00, 0x00, 0x00, 0x01]);
+                let burst = rng.gen_range(48..160);
+                for _ in 0..burst {
+                    out.push(rng.gen());
+                }
+                let pad = rng.gen_range(8..24);
+                out.resize(out.len() + pad, 0);
+            }
+            out.truncate(len);
+            out
+        }
+    }
+
+    type VecForm = fn(&mut StdRng, usize) -> Vec<u8>;
+    type IntoForm = fn(&mut StdRng, usize, &mut Vec<u8>);
+
+    /// (name, per-byte reference, `Vec` form, `_into` form) per generator.
+    fn forms() -> Vec<(&'static str, VecForm, VecForm, IntoForm)> {
+        vec![
+            (
+                "ciphertext",
+                per_byte::ciphertext,
+                ciphertext,
+                ciphertext_into,
+            ),
+            (
+                "fernet_like",
+                per_byte::fernet_like,
+                fernet_like,
+                fernet_like_into,
+            ),
+            (
+                "telemetry",
+                |r, n| per_byte::text_like(r, n, TextStyle::Telemetry),
+                |r, n| text_like(r, n, TextStyle::Telemetry),
+                |r, n, out| text_like_into(r, n, TextStyle::Telemetry, out),
+            ),
+            (
+                "webpage",
+                |r, n| per_byte::text_like(r, n, TextStyle::WebPage),
+                |r, n| text_like(r, n, TextStyle::WebPage),
+                |r, n, out| text_like_into(r, n, TextStyle::WebPage, out),
+            ),
+            (
+                "media_like",
+                per_byte::media_like,
+                media_like,
+                media_like_into,
+            ),
+        ]
+    }
+
+    /// Each `_into` form appends, after a non-empty prefix, exactly what
+    /// its `Vec` form (and the per-byte reference) returns, and leaves the
+    /// RNG where they leave it: the next draw is equal.
+    #[test]
+    fn into_forms_append_the_vec_form_with_identical_draws() {
+        let mut cases = rng(0x1A70);
+        for _ in 0..300 {
+            let seed = cases.next_u64();
+            // Short lengths hit media_like's header running past `len`.
+            let len = match cases.gen_range(0..3) {
+                0 => cases.gen_range(0..48usize),
+                _ => cases.gen_range(0..3_000usize),
+            };
+            let prefix: Vec<u8> = (0..cases.gen_range(1..40u8)).collect();
+            for (name, reference, vec_form, into_form) in forms() {
+                let (mut r0, mut r1, mut r2) = (rng(seed), rng(seed), rng(seed));
+                let expected = reference(&mut r0, len);
+                assert_eq!(vec_form(&mut r1, len), expected, "{name} len {len}");
+                let mut out = prefix.clone();
+                into_form(&mut r2, len, &mut out);
+                assert_eq!(&out[..prefix.len()], &prefix[..], "{name}: prefix kept");
+                assert_eq!(&out[prefix.len()..], &expected[..], "{name} len {len}");
+                let next = r0.next_u64();
+                assert_eq!(r1.next_u64(), next, "{name} len {len}: Vec form draws");
+                assert_eq!(r2.next_u64(), next, "{name} len {len}: _into form draws");
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,12 @@ use std::net::Ipv4Addr;
 /// Incremental one's-complement sum accumulator.
 ///
 /// Feed it header/payload slices (and, for TCP/UDP, the pseudo-header) and
-/// call [`Checksum::finish`] to obtain the 16-bit checksum value.
+/// call [`Checksum::finish`] to obtain the 16-bit checksum value. Words are
+/// summed into a `u64`, so carries cannot overflow before `finish` folds
+/// them (that would take 2^48 words).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Checksum {
-    sum: u32,
+    sum: u64,
     /// Carries a dangling odd byte between `push` calls.
     pending: Option<u8>,
 }
@@ -20,27 +22,22 @@ impl Checksum {
     }
 
     /// Adds a slice of bytes to the running sum.
-    pub fn push(&mut self, data: &[u8]) {
-        let mut iter = data.iter().copied();
+    pub fn push(&mut self, mut data: &[u8]) {
         if let Some(hi) = self.pending.take() {
-            if let Some(lo) = iter.next() {
-                self.add_word(u16::from_be_bytes([hi, lo]));
-            } else {
+            let Some((&lo, rest)) = data.split_first() else {
                 self.pending = Some(hi);
                 return;
-            }
+            };
+            self.add_word(u16::from_be_bytes([hi, lo]));
+            data = rest;
         }
-        let mut bytes = iter;
-        loop {
-            match (bytes.next(), bytes.next()) {
-                (Some(hi), Some(lo)) => self.add_word(u16::from_be_bytes([hi, lo])),
-                (Some(hi), None) => {
-                    self.pending = Some(hi);
-                    break;
-                }
-                _ => break,
-            }
+        let words = data.chunks_exact(2);
+        if let [odd] = words.remainder() {
+            self.pending = Some(*odd);
         }
+        self.sum += words
+            .map(|w| u64::from(u16::from_be_bytes([w[0], w[1]])))
+            .sum::<u64>();
     }
 
     /// Adds a single big-endian 16-bit word.
@@ -59,7 +56,7 @@ impl Checksum {
     }
 
     fn add_word(&mut self, word: u16) {
-        self.sum += u32::from(word);
+        self.sum += u64::from(word);
     }
 
     /// Folds carries and returns the one's-complement checksum.
@@ -133,5 +130,48 @@ mod tests {
     #[test]
     fn empty_is_all_ones() {
         assert_eq!(checksum(&[]), 0xffff);
+    }
+
+    /// 70,000 words of `0xffff` overflow a `u32` sum; the one's-complement
+    /// sum of all-ones words is `0xffff`, so the checksum is zero.
+    #[test]
+    fn long_all_ones_buffer_does_not_overflow() {
+        assert_eq!(checksum(&[0xFF; 140_000]), 0);
+    }
+
+    /// Byte-at-a-time reference: even offsets are high bytes, odd offsets
+    /// low bytes, folded once at the end.
+    fn reference(data: &[u8]) -> u16 {
+        let mut sum: u64 = data
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| u64::from(b) << (8 * (1 - i % 2)))
+            .sum();
+        while sum >> 16 != 0 {
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    #[test]
+    fn word_sum_matches_bytewise_reference_over_random_splits() {
+        let mut rng = iot_core::rng::StdRng::seed_from_u64(0xC5);
+        for _ in 0..200 {
+            let len = rng.gen_range(0..3_000usize) | rng.gen_range(0..2usize);
+            let mut data = vec![0u8; len];
+            rng.fill(&mut data);
+            let mut splits: Vec<usize> = (0..rng.gen_range(0..6))
+                .map(|_| rng.gen_range(0..=len))
+                .collect();
+            splits.sort_unstable();
+            let mut c = Checksum::new();
+            let mut at = 0;
+            for s in splits.into_iter().chain([len]) {
+                c.push(&data[at..s]);
+                at = s;
+            }
+            assert_eq!(c.finish(), reference(&data), "len {len}");
+            assert_eq!(checksum(&data), reference(&data), "len {len}");
+        }
     }
 }

@@ -80,13 +80,19 @@ impl<'a> EthernetFrame<'a> {
 
     /// Serializes header + payload into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.dst.octets());
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&u16::from(self.ethertype).to_be_bytes());
-        out.extend_from_slice(self.payload);
+        let mut out = vec![0u8; HEADER_LEN + self.payload.len()];
+        write_header(&mut out, self.dst, self.src, self.ethertype);
+        out[HEADER_LEN..].copy_from_slice(self.payload);
         out
     }
+}
+
+/// Writes an Ethernet II header into the first [`HEADER_LEN`] bytes of
+/// `out` (a frame being encoded in place).
+pub fn write_header(out: &mut [u8], dst: MacAddr, src: MacAddr, ethertype: EtherType) {
+    out[0..6].copy_from_slice(&dst.octets());
+    out[6..12].copy_from_slice(&src.octets());
+    out[12..14].copy_from_slice(&u16::from(ethertype).to_be_bytes());
 }
 
 #[cfg(test)]

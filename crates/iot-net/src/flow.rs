@@ -325,8 +325,8 @@ mod tests {
         let mut t = table();
         let mut out_b = PacketBuilder::new(DEV_MAC, GW_MAC, DEV_IP, CLOUD_IP);
         let mut in_b = PacketBuilder::new(GW_MAC, DEV_MAC, CLOUD_IP, DEV_IP);
-        let p1 = out_b.tcp(0, 40000, 443, 0, 0, TcpFlags::PSH | TcpFlags::ACK, b"req");
-        let p2 = in_b.tcp(5_000, 443, 40000, 0, 3, TcpFlags::PSH | TcpFlags::ACK, b"resp!");
+        let p1 = out_b.tcp_packet(0, 40000, 443, 0, 0, TcpFlags::PSH | TcpFlags::ACK, b"req");
+        let p2 = in_b.tcp_packet(5_000, 443, 40000, 0, 3, TcpFlags::PSH | TcpFlags::ACK, b"resp!");
         assert_eq!(t.observe(&p1.parse().unwrap(), p1.ts_micros), Some(Direction::Outbound));
         assert_eq!(t.observe(&p2.parse().unwrap(), p2.ts_micros), Some(Direction::Inbound));
         assert_eq!(t.len(), 1);
@@ -348,7 +348,7 @@ mod tests {
             DEV_IP,
             Ipv4Addr::new(192, 168, 10, 99),
         );
-        let p = b.udp(0, 5000, 5000, b"lan");
+        let p = b.udp_packet(0, 5000, 5000, b"lan");
         assert_eq!(t.observe(&p.parse().unwrap(), 0), None);
         assert!(t.is_empty());
     }
@@ -357,8 +357,8 @@ mod tests {
     fn distinct_ports_distinct_flows() {
         let mut t = table();
         let mut b = PacketBuilder::new(DEV_MAC, GW_MAC, DEV_IP, CLOUD_IP);
-        let p1 = b.udp(0, 50000, 53, b"q1");
-        let p2 = b.udp(1, 50001, 53, b"q2");
+        let p1 = b.udp_packet(0, 50000, 53, b"q1");
+        let p2 = b.udp_packet(1, 50001, 53, b"q2");
         t.observe(&p1.parse().unwrap(), 0);
         t.observe(&p2.parse().unwrap(), 1);
         assert_eq!(t.len(), 2);
@@ -368,7 +368,7 @@ mod tests {
     fn payload_cap_respected() {
         let mut t = table().with_payload_cap(4);
         let mut b = PacketBuilder::new(DEV_MAC, GW_MAC, DEV_IP, CLOUD_IP);
-        let p1 = b.udp(0, 50000, 9999, b"abcdef");
+        let p1 = b.udp_packet(0, 50000, 9999, b"abcdef");
         t.observe(&p1.parse().unwrap(), 0);
         let flow = t.iter().next().unwrap();
         assert_eq!(flow.payload_out, b"abcd");
@@ -379,8 +379,8 @@ mod tests {
     fn into_flows_sorted_by_time() {
         let mut t = table();
         let mut b = PacketBuilder::new(DEV_MAC, GW_MAC, DEV_IP, CLOUD_IP);
-        let late = b.udp(9_000_000, 50001, 53, b"late");
-        let early = b.udp(1_000_000, 50002, 53, b"early");
+        let late = b.udp_packet(9_000_000, 50001, 53, b"late");
+        let early = b.udp_packet(1_000_000, 50002, 53, b"early");
         t.observe(&late.parse().unwrap(), late.ts_micros);
         t.observe(&early.parse().unwrap(), early.ts_micros);
         let flows = t.into_flows();
@@ -392,8 +392,8 @@ mod tests {
     fn tcp_and_udp_same_ports_are_distinct() {
         let mut t = table();
         let mut b = PacketBuilder::new(DEV_MAC, GW_MAC, DEV_IP, CLOUD_IP);
-        let p1 = b.udp(0, 40000, 443, b"quic-ish");
-        let p2 = b.tcp(1, 40000, 443, 0, 0, TcpFlags::SYN, &[]);
+        let p1 = b.udp_packet(0, 40000, 443, b"quic-ish");
+        let p2 = b.tcp_packet(1, 40000, 443, 0, 0, TcpFlags::SYN, &[]);
         t.observe(&p1.parse().unwrap(), 0);
         t.observe(&p2.parse().unwrap(), 1);
         assert_eq!(t.len(), 2);
@@ -454,7 +454,7 @@ mod tests {
                 let ts = u64::from(rng.gen::<u32>());
                 let (a_mac, b_mac) = if out { (DEV_MAC, GW_MAC) } else { (GW_MAC, DEV_MAC) };
                 let mut b = PacketBuilder::new(a_mac, b_mac, src, dst);
-                let raw = b.udp(ts, sport, dport, &payload);
+                let raw = b.udp_packet(ts, sport, dport, &payload);
                 let parsed = raw.parse().unwrap();
                 let dir = t.observe(&parsed, ts);
                 // Reference: the pre-optimization HashMap logic, verbatim.

@@ -8,10 +8,11 @@
 //! scratch in the style of typed wire representations:
 //!
 //! * [`mac::MacAddr`] — EUI-48 hardware addresses with vendor (OUI) prefixes.
-//! * [`ethernet`], [`ipv4`], [`tcp`], [`udp`] — header encode/decode with
-//!   real Internet checksums.
-//! * [`packet`] — composed packets: build ([`packet::PacketBuilder`]) and
-//!   parse ([`packet::ParsedPacket`]) full frames.
+//! * [`ethernet`], [`ipv4`], [`tcp`], [`udp`] — header decode with real
+//!   Internet checksums.
+//! * [`packet`] — composed packets: build ([`packet::PacketBuilder`],
+//!   written in place into a [`pcap::Capture`] record) and parse
+//!   ([`packet::ParsedPacket`]) full frames.
 //! * [`pcap`] — classic libpcap capture-file reader/writer, so simulated
 //!   captures are byte-compatible with tcpdump output; a lenient salvage
 //!   mode ([`pcap::from_bytes_lenient`]) resynchronizes past corrupt

@@ -6,9 +6,11 @@
 //! assembles valid frames layer by layer, and [`ParsedPacket`] decodes a
 //! captured frame back into typed headers.
 
+use crate::checksum::Checksum;
 use crate::ethernet::{EtherType, EthernetFrame};
 use crate::ipv4::{protocol, Ipv4Header};
 use crate::mac::MacAddr;
+use crate::pcap::Capture;
 use crate::tcp::{TcpFlags, TcpHeader};
 use crate::udp::UdpHeader;
 use crate::Result;
@@ -156,6 +158,13 @@ impl<'a> ParsedPacket<'a> {
 }
 
 /// Builder assembling valid full frames for the traffic generator.
+///
+/// [`PacketBuilder::tcp`] and [`PacketBuilder::udp`] are the one frame
+/// encoder: they write the Ethernet, IPv4 and transport headers, the
+/// payload and both checksums straight into the capture record's slot, so
+/// no frame is built in a buffer of its own first.
+/// [`PacketBuilder::tcp_packet`] and [`PacketBuilder::udp_packet`] run the
+/// same encoder into an owned [`Packet`] for tests and cold paths.
 #[derive(Debug, Clone)]
 pub struct PacketBuilder {
     src_mac: MacAddr,
@@ -164,6 +173,42 @@ pub struct PacketBuilder {
     dst_ip: Ipv4Addr,
     identification: u16,
     ttl: u8,
+}
+
+/// The transport header of a frame being encoded.
+enum Transport {
+    Tcp {
+        src_port: u16,
+        dst_port: u16,
+        seq: u32,
+        ack: u32,
+        flags: TcpFlags,
+    },
+    Udp {
+        src_port: u16,
+        dst_port: u16,
+    },
+}
+
+impl Transport {
+    fn protocol(&self) -> u8 {
+        match self {
+            Transport::Tcp { .. } => protocol::TCP,
+            Transport::Udp { .. } => protocol::UDP,
+        }
+    }
+
+    fn header_len(&self) -> usize {
+        match self {
+            Transport::Tcp { .. } => crate::tcp::MIN_HEADER_LEN,
+            Transport::Udp { .. } => crate::udp::HEADER_LEN,
+        }
+    }
+
+    /// Full frame length for a payload of `payload_len` bytes.
+    fn frame_len(&self, payload_len: usize) -> usize {
+        crate::ethernet::HEADER_LEN + crate::ipv4::MIN_HEADER_LEN + self.header_len() + payload_len
+    }
 }
 
 impl PacketBuilder {
@@ -186,8 +231,49 @@ impl PacketBuilder {
         self
     }
 
-    /// Builds a TCP segment frame.
+    /// Appends a TCP segment frame to `cap`, encoded in place.
+    #[allow(clippy::too_many_arguments)]
     pub fn tcp(
+        &mut self,
+        cap: &mut Capture,
+        ts_micros: u64,
+        src_port: u16,
+        dst_port: u16,
+        seq: u32,
+        ack: u32,
+        flags: TcpFlags,
+        payload: &[u8],
+    ) -> Result<()> {
+        let tcp = Transport::Tcp {
+            src_port,
+            dst_port,
+            seq,
+            ack,
+            flags,
+        };
+        cap.push_with(ts_micros, tcp.frame_len(payload.len()), |frame| {
+            self.encode(frame, &tcp, payload)
+        })
+    }
+
+    /// Appends a UDP datagram frame to `cap`, encoded in place.
+    pub fn udp(
+        &mut self,
+        cap: &mut Capture,
+        ts_micros: u64,
+        src_port: u16,
+        dst_port: u16,
+        payload: &[u8],
+    ) -> Result<()> {
+        let udp = Transport::Udp { src_port, dst_port };
+        cap.push_with(ts_micros, udp.frame_len(payload.len()), |frame| {
+            self.encode(frame, &udp, payload)
+        })
+    }
+
+    /// Builds a TCP segment frame as an owned packet.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tcp_packet(
         &mut self,
         ts_micros: u64,
         src_port: u16,
@@ -197,42 +283,86 @@ impl PacketBuilder {
         flags: TcpFlags,
         payload: &[u8],
     ) -> Packet {
-        let tcp = TcpHeader {
+        let tcp = Transport::Tcp {
             src_port,
             dst_port,
             seq,
             ack,
             flags,
-            window: 65535,
         };
-        let segment = tcp.encode(payload, self.src_ip, self.dst_ip);
-        self.frame(ts_micros, protocol::TCP, &segment)
+        self.packet(ts_micros, &tcp, payload)
     }
 
-    /// Builds a UDP datagram frame.
-    pub fn udp(&mut self, ts_micros: u64, src_port: u16, dst_port: u16, payload: &[u8]) -> Packet {
-        let udp = UdpHeader { src_port, dst_port };
-        let datagram = udp.encode(payload, self.src_ip, self.dst_ip);
-        self.frame(ts_micros, protocol::UDP, &datagram)
+    /// Builds a UDP datagram frame as an owned packet.
+    pub fn udp_packet(
+        &mut self,
+        ts_micros: u64,
+        src_port: u16,
+        dst_port: u16,
+        payload: &[u8],
+    ) -> Packet {
+        self.packet(ts_micros, &Transport::Udp { src_port, dst_port }, payload)
     }
 
-    fn frame(&mut self, ts_micros: u64, proto: u8, ip_payload: &[u8]) -> Packet {
-        let mut ip = Ipv4Header::for_payload(self.src_ip, self.dst_ip, proto, ip_payload.len());
-        ip.identification = self.identification;
-        ip.ttl = self.ttl;
-        self.identification = self.identification.wrapping_add(1);
-        let ip_bytes = ip.encode();
-        let mut frame = Vec::with_capacity(14 + ip_bytes.len() + ip_payload.len());
-        let eth = EthernetFrame {
-            dst: self.dst_mac,
-            src: self.src_mac,
-            ethertype: EtherType::Ipv4,
-            payload: &[],
-        };
-        frame.extend_from_slice(&eth.encode());
-        frame.extend_from_slice(&ip_bytes);
-        frame.extend_from_slice(ip_payload);
+    fn packet(&mut self, ts_micros: u64, transport: &Transport, payload: &[u8]) -> Packet {
+        let mut frame = vec![0u8; transport.frame_len(payload.len())];
+        self.encode(&mut frame, transport, payload);
         Packet::new(ts_micros, frame)
+    }
+
+    /// Writes one whole frame into `frame`, which is exactly
+    /// `transport.frame_len(payload.len())` bytes long.
+    fn encode(&mut self, frame: &mut [u8], transport: &Transport, payload: &[u8]) {
+        let proto = transport.protocol();
+        let (eth, packet) = frame.split_at_mut(crate::ethernet::HEADER_LEN);
+        crate::ethernet::write_header(eth, self.dst_mac, self.src_mac, EtherType::Ipv4);
+        let (ip, segment) = packet.split_at_mut(crate::ipv4::MIN_HEADER_LEN);
+        let mut header = Ipv4Header::for_payload(self.src_ip, self.dst_ip, proto, segment.len());
+        header.identification = self.identification;
+        header.ttl = self.ttl;
+        self.identification = self.identification.wrapping_add(1);
+        ip.copy_from_slice(&header.encode());
+
+        let segment_len = segment.len() as u16;
+        let (th, body) = segment.split_at_mut(transport.header_len());
+        body.copy_from_slice(payload);
+        // Header fields first, checksum field zero while summing.
+        match *transport {
+            Transport::Tcp {
+                src_port,
+                dst_port,
+                seq,
+                ack,
+                flags,
+            } => {
+                th[0..2].copy_from_slice(&src_port.to_be_bytes());
+                th[2..4].copy_from_slice(&dst_port.to_be_bytes());
+                th[4..8].copy_from_slice(&seq.to_be_bytes());
+                th[8..12].copy_from_slice(&ack.to_be_bytes());
+                th[12] = 0x50; // data offset 5 words
+                th[13] = flags.0;
+                th[14..16].copy_from_slice(&65535u16.to_be_bytes()); // window
+                th[16..20].fill(0); // checksum, urgent pointer
+            }
+            Transport::Udp { src_port, dst_port } => {
+                th[0..2].copy_from_slice(&src_port.to_be_bytes());
+                th[2..4].copy_from_slice(&dst_port.to_be_bytes());
+                th[4..6].copy_from_slice(&segment_len.to_be_bytes());
+                th[6..8].fill(0); // checksum
+            }
+        }
+        let mut ck = Checksum::new();
+        ck.push_pseudo_header(self.src_ip, self.dst_ip, proto, segment_len);
+        ck.push(segment);
+        let sum = ck.finish();
+        match transport {
+            Transport::Tcp { .. } => segment[16..18].copy_from_slice(&sum.to_be_bytes()),
+            // RFC 768: a computed zero checksum is transmitted as all-ones.
+            Transport::Udp { .. } => {
+                let sum = if sum == 0 { 0xffff } else { sum };
+                segment[6..8].copy_from_slice(&sum.to_be_bytes());
+            }
+        }
     }
 }
 
@@ -252,7 +382,7 @@ mod tests {
     #[test]
     fn tcp_frame_roundtrip() {
         let mut b = builder();
-        let pkt = b.tcp(
+        let pkt = b.tcp_packet(
             1_000_000,
             49152,
             443,
@@ -273,17 +403,35 @@ mod tests {
     #[test]
     fn udp_frame_roundtrip() {
         let mut b = builder();
-        let pkt = b.udp(42, 5353, 53, b"query");
+        let pkt = b.udp_packet(42, 5353, 53, b"query");
         let parsed = pkt.parse().unwrap();
         assert_eq!(parsed.transport.src_port(), Some(5353));
         assert_eq!(parsed.payload, b"query");
     }
 
     #[test]
+    fn in_place_frames_match_owned_packets() {
+        let (mut in_place, mut owned) = (builder(), builder());
+        let mut cap = Capture::new();
+        in_place
+            .tcp(&mut cap, 5, 49152, 443, 7, 9, TcpFlags::ACK, b"segment")
+            .unwrap();
+        in_place.udp(&mut cap, 6, 5353, 53, b"odd").unwrap();
+        let packets = [
+            owned.tcp_packet(5, 49152, 443, 7, 9, TcpFlags::ACK, b"segment"),
+            owned.udp_packet(6, 5353, 53, b"odd"),
+        ];
+        assert_eq!(cap, Capture::from_packets(&packets).unwrap());
+        for p in &packets {
+            p.parse().expect("checksums verify");
+        }
+    }
+
+    #[test]
     fn identification_increments() {
         let mut b = builder();
-        let p1 = b.udp(0, 1, 2, b"a");
-        let p2 = b.udp(1, 1, 2, b"a");
+        let p1 = b.udp_packet(0, 1, 2, b"a");
+        let p2 = b.udp_packet(1, 1, 2, b"a");
         let id1 = p1.parse().unwrap().ip.identification;
         let id2 = p2.parse().unwrap().ip.identification;
         assert_eq!(id2, id1 + 1);
@@ -292,7 +440,7 @@ mod tests {
     #[test]
     fn ttl_override() {
         let mut b = builder().ttl(50);
-        let pkt = b.udp(0, 1, 2, b"x");
+        let pkt = b.udp_packet(0, 1, 2, b"x");
         assert_eq!(pkt.parse().unwrap().ip.ttl, 50);
     }
 

@@ -630,23 +630,48 @@ impl Capture {
         Capture { bytes, records: 0 }
     }
 
-    /// Appends one frame. Grows the buffer in bounded (~1.25×) steps so
-    /// slack stays proportional to the capture instead of Vec doubling.
+    /// Appends one frame.
     pub fn push(&mut self, ts_micros: u64, frame: &[u8]) -> Result<()> {
+        self.begin_record(ts_micros, frame.len())?;
+        self.bytes.extend_from_slice(frame);
+        Ok(())
+    }
+
+    /// Appends one `len`-byte frame written in place: `fill` receives the
+    /// record's zeroed data slot and must write the whole frame into it.
+    /// This is how the traffic generator emits frames without building
+    /// each one in a buffer of its own first.
+    pub fn push_with(
+        &mut self,
+        ts_micros: u64,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<()> {
+        self.begin_record(ts_micros, len)?;
+        let at = self.bytes.len();
+        self.bytes.resize(at + len, 0);
+        fill(&mut self.bytes[at..]);
+        Ok(())
+    }
+
+    /// Validates the timestamp, makes room for a `len`-byte frame and
+    /// writes its record header. Grows the buffer in bounded (~1.25×)
+    /// steps so slack stays proportional to the capture instead of Vec
+    /// doubling.
+    fn begin_record(&mut self, ts_micros: u64, len: usize) -> Result<()> {
         let (ts_sec, ts_usec) = split_ts(ts_micros)?;
-        let needed = RECORD_HEADER_LEN + frame.len();
+        let needed = RECORD_HEADER_LEN + len;
         if self.bytes.capacity() - self.bytes.len() < needed {
             let target = (self.bytes.len() + needed)
                 .max(self.bytes.len() + self.bytes.len() / 4)
                 .max(1024);
             self.bytes.reserve_exact(target - self.bytes.len());
         }
-        let incl_len = frame.len() as u32;
+        let incl_len = len as u32;
         self.bytes.extend_from_slice(&ts_sec.to_le_bytes());
         self.bytes.extend_from_slice(&ts_usec.to_le_bytes());
         self.bytes.extend_from_slice(&incl_len.to_le_bytes());
         self.bytes.extend_from_slice(&incl_len.to_le_bytes());
-        self.bytes.extend_from_slice(frame);
         self.records += 1;
         Ok(())
     }
@@ -697,8 +722,8 @@ impl Capture {
     }
 
     /// Zero-copy strict cursor over the records. A `Capture` is only
-    /// ever built through [`Capture::push`], so the views are
-    /// infallible in practice.
+    /// ever built through [`Capture::push`] / [`Capture::push_with`], so
+    /// the views are infallible in practice.
     pub fn views(&self) -> PcapCursor<'_> {
         PcapCursor::over_records(&self.bytes[GLOBAL_HEADER_LEN..], false, CursorMode::Strict)
     }
@@ -753,9 +778,9 @@ mod tests {
             Ipv4Addr::new(93, 184, 216, 34),
         );
         vec![
-            b.tcp(1_500_000, 5000, 443, 1, 0, TcpFlags::SYN, &[]),
-            b.udp(2_250_000, 5001, 53, b"dns"),
-            b.tcp(90_000_000_000, 5000, 443, 2, 1, TcpFlags::ACK, b"data"),
+            b.tcp_packet(1_500_000, 5000, 443, 1, 0, TcpFlags::SYN, &[]),
+            b.udp_packet(2_250_000, 5001, 53, b"dns"),
+            b.tcp_packet(90_000_000_000, 5000, 443, 2, 1, TcpFlags::ACK, b"data"),
         ]
     }
 
@@ -1010,6 +1035,28 @@ mod tests {
         let via_views: Vec<Packet> = cap.views().map(|v| v.unwrap().to_packet()).collect();
         assert_eq!(via_views, packets);
         assert!(Capture::new().is_empty());
+    }
+
+    #[test]
+    fn push_with_writes_the_same_record_as_push() {
+        let packets = sample_packets();
+        let mut cap = Capture::new();
+        for p in &packets {
+            cap.push_with(p.ts_micros, p.data.len(), |slot| {
+                assert!(slot.iter().all(|&b| b == 0), "the slot starts zeroed");
+                slot.copy_from_slice(&p.data);
+            })
+            .unwrap();
+        }
+        assert_eq!(cap, Capture::from_packets(&packets).unwrap());
+        // An out-of-range timestamp is refused before anything is written.
+        let before = cap.clone();
+        let over = MAX_TS_MICROS + 1;
+        assert!(matches!(
+            cap.push_with(over, 8, |_| panic!("fill must not run")),
+            Err(Error::TimestampOutOfRange { .. })
+        ));
+        assert_eq!(cap, before);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! TCP header encoding and parsing with pseudo-header checksum.
+//! TCP header parsing with pseudo-header checksum verification. Segments
+//! are encoded in place by [`crate::packet::PacketBuilder`].
 
 use crate::checksum::Checksum;
 use crate::error::Error;
@@ -118,36 +119,18 @@ impl TcpHeader {
         };
         Ok((header, &data[data_offset..]))
     }
-
-    /// Serializes header + payload, computing the checksum over the
-    /// pseudo-header for `src`/`dst`.
-    pub fn encode(&self, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let mut out = Vec::with_capacity(MIN_HEADER_LEN + payload.len());
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.ack.to_be_bytes());
-        out.push(0x50); // data offset 5 words
-        out.push(self.flags.0);
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&[0, 0]); // urgent pointer
-        out.extend_from_slice(payload);
-        let mut ck = Checksum::new();
-        ck.push_pseudo_header(src, dst, crate::ipv4::protocol::TCP, out.len() as u16);
-        ck.push(&out);
-        let sum = ck.finish();
-        out[16..18].copy_from_slice(&sum.to_be_bytes());
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mac::MacAddr;
+    use crate::packet::{PacketBuilder, ParsedPacket, TransportHeader};
 
     const SRC: Ipv4Addr = Ipv4Addr::new(192, 168, 10, 7);
     const DST: Ipv4Addr = Ipv4Addr::new(52, 84, 1, 9);
+    /// Ethernet + IPv4 header bytes in front of the TCP segment.
+    const SEGMENT_AT: usize = 34;
 
     fn sample() -> TcpHeader {
         TcpHeader {
@@ -160,31 +143,41 @@ mod tests {
         }
     }
 
+    /// The whole frame the builder encodes for header `h` and `payload`.
+    fn frame(h: &TcpHeader, payload: &[u8]) -> Vec<u8> {
+        let mut b =
+            PacketBuilder::new(MacAddr::new(2, 0, 0, 0, 0, 1), MacAddr::BROADCAST, SRC, DST);
+        b.tcp_packet(0, h.src_port, h.dst_port, h.seq, h.ack, h.flags, payload)
+            .data
+    }
+
     #[test]
     fn roundtrip() {
         let h = sample();
-        let wire = h.encode(b"tls application data", SRC, DST);
-        let (parsed, payload) = TcpHeader::parse(&wire, SRC, DST).unwrap();
-        assert_eq!(parsed, h);
-        assert_eq!(payload, b"tls application data");
+        let wire = frame(&h, b"tls application data");
+        let parsed = ParsedPacket::parse(&wire).unwrap();
+        assert_eq!(parsed.transport, TransportHeader::Tcp(h.clone()));
+        assert_eq!(parsed.payload, b"tls application data");
+        let (segment, payload) = TcpHeader::parse(&wire[SEGMENT_AT..], SRC, DST).unwrap();
+        assert_eq!((segment, payload), (h, &b"tls application data"[..]));
     }
 
     #[test]
     fn checksum_binds_addresses() {
-        let wire = sample().encode(b"x", SRC, DST);
+        let wire = frame(&sample(), b"x");
         // Same bytes but claimed to be from a different source must fail.
         assert!(matches!(
-            TcpHeader::parse(&wire, Ipv4Addr::new(1, 2, 3, 4), DST),
+            TcpHeader::parse(&wire[SEGMENT_AT..], Ipv4Addr::new(1, 2, 3, 4), DST),
             Err(Error::BadChecksum { layer: "tcp", .. })
         ));
     }
 
     #[test]
     fn corrupted_payload_detected() {
-        let mut wire = sample().encode(b"hello world", SRC, DST);
+        let mut wire = frame(&sample(), b"hello world");
         let last = wire.len() - 1;
         wire[last] ^= 0x01;
-        assert!(TcpHeader::parse(&wire, SRC, DST).is_err());
+        assert!(ParsedPacket::parse(&wire).is_err());
     }
 
     #[test]
@@ -199,10 +192,13 @@ mod tests {
             flags: TcpFlags::SYN,
             ..sample()
         };
-        let wire = h.encode(&[], SRC, DST);
-        let (parsed, payload) = TcpHeader::parse(&wire, SRC, DST).unwrap();
-        assert!(parsed.flags.contains(TcpFlags::SYN));
-        assert!(payload.is_empty());
+        let wire = frame(&h, &[]);
+        let parsed = ParsedPacket::parse(&wire).unwrap();
+        let TransportHeader::Tcp(tcp) = parsed.transport else {
+            panic!("expected tcp");
+        };
+        assert!(tcp.flags.contains(TcpFlags::SYN));
+        assert!(parsed.payload.is_empty());
     }
 
     #[test]

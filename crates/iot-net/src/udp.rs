@@ -1,4 +1,5 @@
-//! UDP header encoding and parsing with pseudo-header checksum.
+//! UDP header parsing with pseudo-header checksum verification. Datagrams
+//! are encoded in place by [`crate::packet::PacketBuilder`].
 
 use crate::checksum::Checksum;
 use crate::error::Error;
@@ -60,35 +61,25 @@ impl UdpHeader {
             &datagram[HEADER_LEN..],
         ))
     }
-
-    /// Serializes header + payload with the checksum computed.
-    pub fn encode(&self, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let length = (HEADER_LEN + payload.len()) as u16;
-        let mut out = Vec::with_capacity(usize::from(length));
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&length.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(payload);
-        let mut ck = Checksum::new();
-        ck.push_pseudo_header(src, dst, crate::ipv4::protocol::UDP, length);
-        ck.push(&out);
-        let mut sum = ck.finish();
-        if sum == 0 {
-            // RFC 768: a computed zero checksum is transmitted as all-ones.
-            sum = 0xffff;
-        }
-        out[6..8].copy_from_slice(&sum.to_be_bytes());
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mac::MacAddr;
+    use crate::packet::{PacketBuilder, ParsedPacket, TransportHeader};
 
     const SRC: Ipv4Addr = Ipv4Addr::new(192, 168, 10, 8);
     const DST: Ipv4Addr = Ipv4Addr::new(8, 8, 8, 8);
+    /// Ethernet + IPv4 header bytes in front of the UDP datagram.
+    const DATAGRAM_AT: usize = 34;
+
+    /// The datagram (UDP header + payload) the builder encodes.
+    fn datagram(h: &UdpHeader, payload: &[u8]) -> Vec<u8> {
+        let mut b =
+            PacketBuilder::new(MacAddr::new(2, 0, 0, 0, 0, 1), MacAddr::BROADCAST, SRC, DST);
+        b.udp_packet(0, h.src_port, h.dst_port, payload).data[DATAGRAM_AT..].to_vec()
+    }
 
     #[test]
     fn roundtrip() {
@@ -96,7 +87,13 @@ mod tests {
             src_port: 53124,
             dst_port: 53,
         };
-        let wire = h.encode(b"dns query bytes", SRC, DST);
+        let mut b =
+            PacketBuilder::new(MacAddr::new(2, 0, 0, 0, 0, 1), MacAddr::BROADCAST, SRC, DST);
+        let pkt = b.udp_packet(0, h.src_port, h.dst_port, b"dns query bytes");
+        let parsed = ParsedPacket::parse(&pkt.data).unwrap();
+        assert_eq!(parsed.transport, TransportHeader::Udp(h.clone()));
+        assert_eq!(parsed.payload, b"dns query bytes");
+        let wire = datagram(&h, b"dns query bytes");
         let (parsed, payload) = UdpHeader::parse(&wire, SRC, DST).unwrap();
         assert_eq!(parsed, h);
         assert_eq!(payload, b"dns query bytes");
@@ -108,9 +105,26 @@ mod tests {
             src_port: 123,
             dst_port: 123,
         };
-        let mut wire = h.encode(b"ntp", SRC, DST);
+        let mut wire = datagram(&h, b"ntp");
         wire[6] = 0;
         wire[7] = 0;
+        assert!(UdpHeader::parse(&wire, SRC, DST).is_ok());
+    }
+
+    #[test]
+    fn computed_zero_checksum_is_sent_as_all_ones() {
+        // Pick the payload word that makes the one's-complement sum 0xffff,
+        // i.e. a computed checksum of zero.
+        let h = UdpHeader {
+            src_port: 1,
+            dst_port: 2,
+        };
+        let mut ck = crate::checksum::Checksum::new();
+        ck.push_pseudo_header(SRC, DST, crate::ipv4::protocol::UDP, 10);
+        ck.push(&[0, 1, 0, 2, 0, 10]);
+        let word = ck.finish();
+        let wire = datagram(&h, &word.to_be_bytes());
+        assert_eq!(&wire[6..8], &[0xff, 0xff]);
         assert!(UdpHeader::parse(&wire, SRC, DST).is_ok());
     }
 
@@ -120,7 +134,7 @@ mod tests {
             src_port: 1,
             dst_port: 2,
         };
-        let mut wire = h.encode(b"payload", SRC, DST);
+        let mut wire = datagram(&h, b"payload");
         wire[9] ^= 0x80;
         assert!(matches!(
             UdpHeader::parse(&wire, SRC, DST),
@@ -134,7 +148,7 @@ mod tests {
             src_port: 9,
             dst_port: 10,
         };
-        let mut wire = h.encode(b"abcd", SRC, DST);
+        let mut wire = datagram(&h, b"abcd");
         wire.extend_from_slice(&[0u8; 16]);
         let (_, payload) = UdpHeader::parse(&wire, SRC, DST).unwrap();
         assert_eq!(payload, b"abcd");
@@ -146,7 +160,7 @@ mod tests {
             src_port: 9,
             dst_port: 10,
         };
-        let mut wire = h.encode(b"abcd", SRC, DST);
+        let mut wire = datagram(&h, b"abcd");
         wire[4] = 0xff;
         wire[5] = 0xff;
         assert!(matches!(

@@ -30,8 +30,8 @@ fn valid_frames() -> Vec<Packet> {
         Ipv4Addr::new(52, 84, 9, 9),
     );
     vec![
-        b.tcp(1_000_000, 49152, 443, 7, 0, TcpFlags::SYN, b"hello over tcp"),
-        b.udp(2_000_000, 50000, 53, b"dns-ish payload bytes"),
+        b.tcp_packet(1_000_000, 49152, 443, 7, 0, TcpFlags::SYN, b"hello over tcp"),
+        b.udp_packet(2_000_000, 50000, 53, b"dns-ish payload bytes"),
     ]
 }
 

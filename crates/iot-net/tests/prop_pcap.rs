@@ -27,7 +27,7 @@ fn random_packets(rng: &mut StdRng) -> Vec<Packet> {
         ts += rng.gen_range(1..500_000) as u64;
         let payload: Vec<u8> = (0..rng.gen_range(0..512)).map(|_| rng.gen_range(0..256) as u8).collect();
         if rng.gen_range(0..2) == 0 {
-            out.push(b.tcp(
+            out.push(b.tcp_packet(
                 ts,
                 49152 + i as u16,
                 443,
@@ -37,7 +37,7 @@ fn random_packets(rng: &mut StdRng) -> Vec<Packet> {
                 &payload,
             ));
         } else {
-            out.push(b.udp(ts, 50000 + i as u16, 53, &payload));
+            out.push(b.udp_packet(ts, 50000 + i as u16, 53, &payload));
         }
     }
     out

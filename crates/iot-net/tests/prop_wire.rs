@@ -51,7 +51,7 @@ fn tcp_build_parse_roundtrip() {
         let payload = random_payload(&mut rng, 0..1500);
         let ts = rng.gen::<u32>() as u64;
         let mut b = PacketBuilder::new(src_mac, dst_mac, src_ip, dst_ip);
-        let pkt = b.tcp(ts, sport, dport, seq, ack, TcpFlags::PSH | TcpFlags::ACK, &payload);
+        let pkt = b.tcp_packet(ts, sport, dport, seq, ack, TcpFlags::PSH | TcpFlags::ACK, &payload);
         let parsed = pkt.parse().unwrap();
         assert_eq!(parsed.src_mac, src_mac);
         assert_eq!(parsed.dst_mac, dst_mac);
@@ -84,7 +84,7 @@ fn udp_build_parse_roundtrip() {
             src_ip,
             dst_ip,
         );
-        let pkt = b.udp(0, sport, dport, &payload);
+        let pkt = b.udp_packet(0, sport, dport, &payload);
         let parsed = pkt.parse().unwrap();
         assert_eq!(parsed.payload, &payload[..]);
         assert_eq!(parsed.transport.src_port(), Some(sport));
@@ -107,7 +107,7 @@ fn single_bit_corruption_never_silent() {
             Ipv4Addr::new(192, 168, 10, 4),
             Ipv4Addr::new(8, 8, 4, 4),
         );
-        let pkt = b.tcp(0, 40000, 443, 1, 2, TcpFlags::ACK, &payload);
+        let pkt = b.tcp_packet(0, 40000, 443, 1, 2, TcpFlags::ACK, &payload);
         let mut bytes = pkt.data.to_vec();
         let bit = bit % (bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
@@ -154,7 +154,7 @@ fn pcap_roundtrip_lossless() {
         let packets: Vec<_> = payloads
             .iter()
             .enumerate()
-            .map(|(i, p)| b.udp(base_ts + i as u64 * 1000, 40000, 53, p))
+            .map(|(i, p)| b.udp_packet(base_ts + i as u64 * 1000, 40000, 53, p))
             .collect();
         let bytes = pcap::to_bytes(&packets).unwrap();
         let back = pcap::from_bytes(&bytes).unwrap();

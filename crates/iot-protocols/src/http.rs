@@ -12,6 +12,27 @@ use crate::Result;
 /// Standard HTTP port.
 pub const PORT: u16 = 80;
 
+/// Serializes a message: the start line (given as parts), the headers,
+/// a blank line and the body, into one buffer sized up front.
+fn encode_message(start_line: &[&str], headers: &[(String, String)], body: &[u8]) -> Vec<u8> {
+    let start: usize = start_line.iter().map(|p| p.len()).sum();
+    let fields: usize = headers.iter().map(|(n, v)| n.len() + v.len() + 4).sum();
+    let mut out = Vec::with_capacity(start + fields + 4 + body.len());
+    for part in start_line {
+        out.extend_from_slice(part.as_bytes());
+    }
+    out.extend_from_slice(b"\r\n");
+    for (name, value) in headers {
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(value.as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    out
+}
+
 /// An HTTP/1.1 request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -68,13 +89,8 @@ impl Request {
 
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = format!("{} {} HTTP/1.1\r\n", self.method, self.path).into_bytes();
-        for (name, value) in &self.headers {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
-        }
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
-        out
+        let start = [self.method.as_str(), " ", &self.path, " HTTP/1.1"];
+        encode_message(&start, &self.headers, &self.body)
     }
 
     /// Parses a request from the front of a byte stream.
@@ -144,13 +160,9 @@ impl Response {
 
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason).into_bytes();
-        for (name, value) in &self.headers {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
-        }
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
-        out
+        let status = self.status.to_string();
+        let start = ["HTTP/1.1 ", &status, " ", self.reason.as_str()];
+        encode_message(&start, &self.headers, &self.body)
     }
 
     /// Parses a response from the front of a byte stream.

@@ -83,6 +83,15 @@ fn decode_utf8(data: &[u8]) -> Result<(String, &[u8])> {
     Ok((s.to_string(), &data[2 + len..]))
 }
 
+/// Appends a QoS-0 PUBLISH of `payload` on `topic` to `out`: the bytes of
+/// [`MqttPacket::Publish`] without owning the topic and payload.
+pub fn write_publish(out: &mut Vec<u8>, topic: &str, payload: &[u8]) {
+    out.push(0x30);
+    encode_remaining_len(out, 2 + topic.len() + payload.len());
+    encode_utf8(out, topic);
+    out.extend_from_slice(payload);
+}
+
 impl MqttPacket {
     /// Serializes the packet.
     pub fn encode(&self) -> Vec<u8> {
@@ -98,10 +107,9 @@ impl MqttPacket {
             }
             MqttPacket::ConnAck => (0x20, vec![0, 0]),
             MqttPacket::Publish { topic, payload } => {
-                let mut body = Vec::new();
-                encode_utf8(&mut body, topic);
-                body.extend_from_slice(payload);
-                (0x30, body)
+                let mut out = Vec::with_capacity(7 + topic.len() + payload.len());
+                write_publish(&mut out, topic, payload);
+                return out;
             }
             MqttPacket::PingReq => (0xc0, Vec::new()),
             MqttPacket::PingResp => (0xd0, Vec::new()),

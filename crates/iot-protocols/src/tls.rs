@@ -72,10 +72,9 @@ pub struct Record {
 impl Record {
     /// Encodes the record header + payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(5 + self.payload.len());
-        out.push(self.content_type.into());
-        out.extend_from_slice(&self.version.to_be_bytes());
-        out.extend_from_slice(&(self.payload.len() as u16).to_be_bytes());
+        let header = record_header(self.content_type, self.version, self.payload.len());
+        let mut out = Vec::with_capacity(header.len() + self.payload.len());
+        out.extend_from_slice(&header);
         out.extend_from_slice(&self.payload);
         out
     }
@@ -262,6 +261,14 @@ pub fn sni_from_stream(stream: &[u8]) -> Option<String> {
         return None;
     }
     ClientHello::parse(&record.payload).ok()?.sni
+}
+
+/// The 5-byte header of a record carrying a `len`-byte fragment, for
+/// callers that write the fragment in place behind it.
+pub fn record_header(content_type: ContentType, version: u16, len: usize) -> [u8; 5] {
+    let [v0, v1] = version.to_be_bytes();
+    let [l0, l1] = (len as u16).to_be_bytes();
+    [content_type.into(), v0, v1, l0, l1]
 }
 
 /// Builds an opaque application-data record around pre-generated ciphertext.

@@ -13,14 +13,16 @@ use crate::device::{
 };
 use crate::lab::{DeviceInstance, LabSite};
 use crate::util::{base64_encode, hex_encode, stable_seed};
+use iot_core::rng::StdRng;
 use iot_entropy::generators;
 use iot_geodb::geo::Region;
 use iot_geodb::registry::GeoDb;
-use iot_net::packet::Packet;
+use iot_net::arp::{self, ArpPacket};
+use iot_net::ethernet::{self, EtherType};
+use iot_net::mac::MacAddr;
 use iot_net::pcap::Capture;
 use iot_net::tcp::TcpFlags;
 use iot_protocols::{dhcp, dns, http, mqtt, ntp, quic, tls};
-use iot_core::rng::StdRng;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -72,6 +74,44 @@ struct ConnState {
     app_started: bool,
 }
 
+/// The TCP connection a flight talks over: its endpoint (the key of its
+/// [`ConnState`]), the remote address and the remote port.
+#[derive(Clone, Copy)]
+struct Conn {
+    endpoint: usize,
+    remote: Ipv4Addr,
+    port: u16,
+}
+
+/// Reusable buffers for the frame being built: the application bytes, and
+/// the record (TLS, QUIC, MQTT or a spliced leak) that wraps them. Frames
+/// are then encoded straight from here into the capture, so a flight
+/// allocates nothing per packet once the buffers have grown.
+#[derive(Default)]
+struct Scratch {
+    payload: Vec<u8>,
+    record: Vec<u8>,
+}
+
+impl Scratch {
+    /// Replaces the payload buffer with `len` fresh bytes of `kind`.
+    fn payload(&mut self, rng: &mut StdRng, kind: PayloadKind, len: usize) -> &[u8] {
+        self.payload.clear();
+        payload_into(rng, kind, len, &mut self.payload);
+        &self.payload
+    }
+
+    /// Replaces the record buffer with a TLS application-data record of
+    /// `len` ciphertext bytes, drawn in place behind its header.
+    fn tls_app_data(&mut self, rng: &mut StdRng, len: usize) -> &[u8] {
+        self.record.clear();
+        let header = tls::record_header(tls::ContentType::ApplicationData, tls::VERSION_TLS12, len);
+        self.record.extend_from_slice(&header);
+        generators::ciphertext_into(rng, len, &mut self.record);
+        &self.record
+    }
+}
+
 /// Generates a device's traffic into an in-memory capture.
 pub struct TrafficGenerator<'a> {
     db: &'a GeoDb,
@@ -86,10 +126,21 @@ pub struct TrafficGenerator<'a> {
     conns: HashMap<usize, ConnState>,
     next_port: u16,
     dns_id: u16,
+    scratch: Scratch,
+    /// HTTP `User-Agent` value, formatted on first use.
+    user_agent: Option<String>,
+    /// MQTT telemetry topic, formatted on first use.
+    mqtt_topic: Option<String>,
 }
 
 /// The gateway's LAN-side address offset within the lab subnet.
 const GATEWAY_HOST: u8 = 1;
+
+/// Why appending a generated frame cannot fail.
+const TS_FITS: &str = "generated timestamps fit the pcap format";
+
+/// Flags of every application-data segment.
+const PSH_ACK: TcpFlags = TcpFlags(TcpFlags::PSH.0 | TcpFlags::ACK.0);
 
 impl<'a> TrafficGenerator<'a> {
     /// Creates a generator positioned at `start_micros`.
@@ -113,19 +164,15 @@ impl<'a> TrafficGenerator<'a> {
             conns: HashMap::new(),
             next_port: 40000,
             dns_id: (seed & 0xffff) as u16,
+            scratch: Scratch::default(),
+            user_agent: None,
+            mqtt_topic: None,
         }
     }
 
     /// Consumes the generator, returning the capture ordered by time.
     pub fn finish(self) -> Capture {
         self.cap
-    }
-
-    /// Appends a built packet to the capture.
-    fn push_pkt(&mut self, pkt: Packet) {
-        self.cap
-            .push_packet(&pkt)
-            .expect("generated timestamps fit the pcap format");
     }
 
     /// Current simulated time (µs).
@@ -196,12 +243,8 @@ impl<'a> TrafficGenerator<'a> {
         let response = dns::Message::answer(&query, &[answer], 300);
         let gw = self.gateway_ip();
         let sport = self.take_port();
-        let t1 = self.tick((1.0, 5.0));
-        let mut out_b = self.device.builder_out(gw);
-        self.push_pkt(out_b.udp(t1, sport, dns::PORT, &query.encode()));
-        let t2 = self.tick((5.0, 40.0));
-        let mut in_b = self.device.builder_in(gw);
-        self.push_pkt(in_b.udp(t2, dns::PORT, sport, &response.encode()));
+        self.udp_out(gw, sport, dns::PORT, &query.encode(), (1.0, 5.0));
+        self.udp_in(gw, dns::PORT, sport, &response.encode(), (5.0, 40.0));
     }
 
     /// Emits a DHCP DISCOVER/REQUEST/ACK association (Wi-Fi reconnect).
@@ -210,62 +253,41 @@ impl<'a> TrafficGenerator<'a> {
         let gw = self.gateway_ip();
         let mac = self.device.mac;
         let ip = self.device.ip;
-        let t1 = self.tick((1.0, 10.0));
+        let (client, server) = (dhcp::CLIENT_PORT, dhcp::SERVER_PORT);
+        // DISCOVER and REQUEST share one builder, so their IP ids count up.
         let mut out_b = self.device.builder_out(gw);
-        self.push_pkt(out_b.udp(
-            t1,
-            dhcp::CLIENT_PORT,
-            dhcp::SERVER_PORT,
-            &dhcp::DhcpMessage::discover(xid, mac).encode(),
-        ));
+        let t1 = self.tick((1.0, 10.0));
+        let discover = dhcp::DhcpMessage::discover(xid, mac).encode();
+        out_b
+            .udp(&mut self.cap, t1, client, server, &discover)
+            .expect(TS_FITS);
         let t2 = self.tick((5.0, 30.0));
-        self.push_pkt(out_b.udp(
-            t2,
-            dhcp::CLIENT_PORT,
-            dhcp::SERVER_PORT,
-            &dhcp::DhcpMessage::request(xid, mac, ip).encode(),
-        ));
-        let t3 = self.tick((2.0, 15.0));
-        let mut in_b = self.device.builder_in(gw);
-        self.push_pkt(in_b.udp(
-            t3,
-            dhcp::SERVER_PORT,
-            dhcp::CLIENT_PORT,
-            &dhcp::DhcpMessage::ack(xid, mac, ip).encode(),
-        ));
+        let request = dhcp::DhcpMessage::request(xid, mac, ip).encode();
+        out_b
+            .udp(&mut self.cap, t2, client, server, &request)
+            .expect(TS_FITS);
+        let ack = dhcp::DhcpMessage::ack(xid, mac, ip).encode();
+        self.udp_in(gw, server, client, &ack, (2.0, 15.0));
         // Post-lease ARP: a gratuitous announcement, then resolve the
         // gateway before the first IP packet — exactly what real captures
         // show after every (re)association.
-        self.emit_arp(
-            iot_net::arp::ArpPacket::gratuitous(mac, ip),
-            iot_net::mac::MacAddr::BROADCAST,
-        );
-        let who_has = iot_net::arp::ArpPacket::request(mac, ip, gw);
-        self.emit_arp(who_has.clone(), iot_net::mac::MacAddr::BROADCAST);
-        let reply = iot_net::arp::ArpPacket::reply_to(&who_has, crate::lab::Lab::GATEWAY_MAC);
-        self.emit_arp_from_gateway(reply);
+        self.emit_arp(ArpPacket::gratuitous(mac, ip), mac, MacAddr::BROADCAST);
+        let who_has = ArpPacket::request(mac, ip, gw);
+        self.emit_arp(who_has.clone(), mac, MacAddr::BROADCAST);
+        let reply = ArpPacket::reply_to(&who_has, crate::lab::Lab::GATEWAY_MAC);
+        self.emit_arp(reply, crate::lab::Lab::GATEWAY_MAC, mac);
     }
 
-    fn emit_arp(&mut self, arp: iot_net::arp::ArpPacket, dst: iot_net::mac::MacAddr) {
+    /// Writes one ARP frame from `src` to `dst` into the capture.
+    fn emit_arp(&mut self, arp: ArpPacket, src: MacAddr, dst: MacAddr) {
         let ts = self.tick((1.0, 8.0));
-        let frame = iot_net::ethernet::EthernetFrame {
-            dst,
-            src: self.device.mac,
-            ethertype: iot_net::ethernet::EtherType::Arp,
-            payload: &arp.encode(),
-        };
-        self.push_pkt(Packet::new(ts, frame.encode()));
-    }
-
-    fn emit_arp_from_gateway(&mut self, arp: iot_net::arp::ArpPacket) {
-        let ts = self.tick((1.0, 8.0));
-        let frame = iot_net::ethernet::EthernetFrame {
-            dst: self.device.mac,
-            src: crate::lab::Lab::GATEWAY_MAC,
-            ethertype: iot_net::ethernet::EtherType::Arp,
-            payload: &arp.encode(),
-        };
-        self.push_pkt(Packet::new(ts, frame.encode()));
+        let len = ethernet::HEADER_LEN + arp::PACKET_LEN;
+        self.cap
+            .push_with(ts, len, |frame| {
+                ethernet::write_header(frame, dst, src, EtherType::Arp);
+                frame[ethernet::HEADER_LEN..].copy_from_slice(&arp.encode());
+            })
+            .expect(TS_FITS);
     }
 
     /// Emits one NTP request/response — the background noise of §6.1.
@@ -287,10 +309,15 @@ impl<'a> TrafficGenerator<'a> {
         let sport = self.take_port();
         let t1 = self.tick((1.0, 8.0));
         let mut out_b = self.device.builder_out(server);
-        self.push_pkt(out_b.udp(t1, sport, ntp::PORT, &ntp::NtpPacket::client(t1).encode()));
+        let request = ntp::NtpPacket::client(t1).encode();
+        out_b
+            .udp(&mut self.cap, t1, sport, ntp::PORT, &request)
+            .expect(TS_FITS);
         let t2 = self.tick((10.0, 80.0));
         let mut in_b = self.device.builder_in(server);
-        self.push_pkt(in_b.udp(t2, ntp::PORT, sport, &ntp::NtpPacket::server(t2).encode()));
+        let reply = ntp::NtpPacket::server(t2).encode();
+        in_b.udp(&mut self.cap, t2, ntp::PORT, sport, &reply)
+            .expect(TS_FITS);
     }
 
     /// The full power-on sequence (§3.3 "power experiments"): DHCP, NTP,
@@ -329,8 +356,7 @@ impl<'a> TrafficGenerator<'a> {
             };
             self.flight(&hello, TriggerContext::Power);
         }
-        let flights = self.spec().power_flights.clone();
-        for f in &flights {
+        for f in &spec.power_flights {
             self.flight(f, TriggerContext::Power);
         }
     }
@@ -370,20 +396,32 @@ impl<'a> TrafficGenerator<'a> {
         let host = endpoint.host;
         let remote = self.endpoint_addr(flight.endpoint);
         let leak = self.applicable_leak(flight.endpoint, ctx);
-
+        // Rendered once per flight; rendering draws nothing.
+        let text = leak.map(|l| self.leak_text(l));
+        let leak_text = text.as_deref();
+        let tcp = |port| Conn {
+            endpoint: flight.endpoint,
+            remote,
+            port,
+        };
+        let mut s = std::mem::take(&mut self.scratch);
         match protocol {
-            EndpointProtocol::Tls => self.tls_flight(flight, remote, host),
-            EndpointProtocol::Http => self.http_flight(flight, remote, host, leak),
-            EndpointProtocol::Quic => self.quic_flight(flight, remote),
-            EndpointProtocol::Mqtt => self.mqtt_flight(flight, remote, leak),
+            EndpointProtocol::Tls => self.tls_flight(flight, tcp(tls::PORT), host, &mut s),
+            EndpointProtocol::Http => {
+                let leak = leak.zip(leak_text);
+                self.http_flight(flight, tcp(http::PORT), host, leak, &mut s)
+            }
+            EndpointProtocol::Quic => self.quic_flight(flight, remote, &mut s),
+            EndpointProtocol::Mqtt => self.mqtt_flight(flight, tcp(mqtt::PORT), leak_text, &mut s),
             EndpointProtocol::Ntp => self.ntp_exchange(),
             EndpointProtocol::ProprietaryTcp(port) => {
-                self.raw_tcp_flight(flight, remote, port, leak)
+                self.raw_tcp_flight(flight, tcp(port), leak_text, &mut s)
             }
             EndpointProtocol::ProprietaryUdp(port) => {
-                self.raw_udp_flight(flight, remote, port, leak)
+                self.raw_udp_flight(flight, remote, port, leak_text, &mut s)
             }
         }
+        self.scratch = s;
     }
 
     fn applicable_leak(&self, endpoint: usize, ctx: TriggerContext<'_>) -> Option<&'a PiiLeak> {
@@ -417,35 +455,6 @@ impl<'a> TrafficGenerator<'a> {
         }
     }
 
-    fn payload_bytes(&mut self, kind: PayloadKind, len: usize) -> Vec<u8> {
-        match kind {
-            PayloadKind::Ciphertext => generators::ciphertext(&mut self.rng, len),
-            PayloadKind::EncodedCiphertext => generators::fernet_like(&mut self.rng, len),
-            PayloadKind::Telemetry => {
-                generators::text_like(&mut self.rng, len, generators::TextStyle::Telemetry)
-            }
-            PayloadKind::Markup => {
-                generators::text_like(&mut self.rng, len, generators::TextStyle::WebPage)
-            }
-            PayloadKind::Media => generators::media_like(&mut self.rng, len),
-            PayloadKind::MediaJpeg => {
-                let mut bytes = vec![0xff, 0xd8, 0xff, 0xe0];
-                bytes.extend(generators::media_like(&mut self.rng, len.saturating_sub(4)));
-                bytes
-            }
-            PayloadKind::MixedProprietary => {
-                // Half structured telemetry, half ciphertext: entropy lands
-                // in the undetermined band, like the paper's partly
-                // encrypted vendor protocols.
-                let half = len / 2;
-                let mut bytes =
-                    generators::text_like(&mut self.rng, half, generators::TextStyle::Telemetry);
-                bytes.extend(generators::ciphertext(&mut self.rng, len - half));
-                bytes
-            }
-        }
-    }
-
     fn conn_entry(&mut self, endpoint: usize) -> (u16, bool) {
         if let Some(c) = self.conns.get(&endpoint) {
             (c.src_port, c.established)
@@ -465,352 +474,250 @@ impl<'a> TrafficGenerator<'a> {
         }
     }
 
-    fn tcp_out(&mut self, endpoint: usize, remote: Ipv4Addr, port: u16, flags: TcpFlags, payload: &[u8], iat: (f64, f64)) {
+    /// A uniform draw from an inclusive flight range.
+    fn between(&mut self, (lo, hi): (u32, u32)) -> u32 {
+        self.rng.gen_range(lo..=hi)
+    }
+
+    fn tcp_out(&mut self, conn: Conn, flags: TcpFlags, payload: &[u8], iat: (f64, f64)) {
         let ts = self.tick(iat);
-        let (src_port, seq_out, seq_in) = {
-            let c = self.conns.get(&endpoint).expect("conn exists");
-            (c.src_port, c.seq_out, c.seq_in)
-        };
+        let c = self.conns.get_mut(&conn.endpoint).expect("conn exists");
+        let mut b = self.device.builder_out(conn.remote);
+        b.tcp(
+            &mut self.cap,
+            ts,
+            c.src_port,
+            conn.port,
+            c.seq_out,
+            c.seq_in,
+            flags,
+            payload,
+        )
+        .expect(TS_FITS);
+        c.seq_out = next_seq(c.seq_out, flags, payload);
+    }
+
+    fn tcp_in(&mut self, conn: Conn, flags: TcpFlags, payload: &[u8], iat: (f64, f64)) {
+        let ts = self.tick(iat);
+        let c = self.conns.get_mut(&conn.endpoint).expect("conn exists");
+        let mut b = self.device.builder_in(conn.remote);
+        b.tcp(
+            &mut self.cap,
+            ts,
+            conn.port,
+            c.src_port,
+            c.seq_in,
+            c.seq_out,
+            flags,
+            payload,
+        )
+        .expect(TS_FITS);
+        c.seq_in = next_seq(c.seq_in, flags, payload);
+    }
+
+    fn udp_out(
+        &mut self,
+        remote: Ipv4Addr,
+        sport: u16,
+        dport: u16,
+        payload: &[u8],
+        iat: (f64, f64),
+    ) {
+        let ts = self.tick(iat);
         let mut b = self.device.builder_out(remote);
-        let pkt = b.tcp(ts, src_port, port, seq_out, seq_in, flags, payload);
-        self.push_pkt(pkt);
-        let c = self.conns.get_mut(&endpoint).expect("conn exists");
-        c.seq_out = seq_out.wrapping_add(payload.len() as u32).wrapping_add(u32::from(
-            flags.contains(TcpFlags::SYN) || flags.contains(TcpFlags::FIN),
-        ));
+        b.udp(&mut self.cap, ts, sport, dport, payload)
+            .expect(TS_FITS);
     }
 
-    fn tcp_in(&mut self, endpoint: usize, remote: Ipv4Addr, port: u16, flags: TcpFlags, payload: &[u8], iat: (f64, f64)) {
+    fn udp_in(
+        &mut self,
+        remote: Ipv4Addr,
+        sport: u16,
+        dport: u16,
+        payload: &[u8],
+        iat: (f64, f64),
+    ) {
         let ts = self.tick(iat);
-        let (src_port, seq_out, seq_in) = {
-            let c = self.conns.get(&endpoint).expect("conn exists");
-            (c.src_port, c.seq_out, c.seq_in)
-        };
         let mut b = self.device.builder_in(remote);
-        let pkt = b.tcp(ts, port, src_port, seq_in, seq_out, flags, payload);
-        self.push_pkt(pkt);
-        let c = self.conns.get_mut(&endpoint).expect("conn exists");
-        c.seq_in = seq_in.wrapping_add(payload.len() as u32).wrapping_add(u32::from(
-            flags.contains(TcpFlags::SYN) || flags.contains(TcpFlags::FIN),
-        ));
+        b.udp(&mut self.cap, ts, sport, dport, payload)
+            .expect(TS_FITS);
     }
 
-    fn ensure_tcp_established(&mut self, endpoint: usize, remote: Ipv4Addr, port: u16) {
-        let (_, established) = self.conn_entry(endpoint);
+    fn ensure_tcp_established(&mut self, conn: Conn) {
+        let (_, established) = self.conn_entry(conn.endpoint);
         if established {
             return;
         }
-        self.tcp_out(endpoint, remote, port, TcpFlags::SYN, &[], (1.0, 8.0));
-        self.tcp_in(
-            endpoint,
-            remote,
-            port,
-            TcpFlags::SYN | TcpFlags::ACK,
-            &[],
-            (10.0, 70.0),
-        );
-        self.tcp_out(endpoint, remote, port, TcpFlags::ACK, &[], (0.5, 3.0));
-        self.conns.get_mut(&endpoint).expect("conn").established = true;
+        self.tcp_out(conn, TcpFlags::SYN, &[], (1.0, 8.0));
+        self.tcp_in(conn, TcpFlags::SYN | TcpFlags::ACK, &[], (10.0, 70.0));
+        self.tcp_out(conn, TcpFlags::ACK, &[], (0.5, 3.0));
+        self.conns
+            .get_mut(&conn.endpoint)
+            .expect("conn")
+            .established = true;
     }
 
-    fn tls_flight(&mut self, flight: &Flight, remote: Ipv4Addr, host: &str) {
-        self.ensure_tcp_established(flight.endpoint, remote, tls::PORT);
-        let need_handshake = !self.conns[&flight.endpoint].app_started;
-        if need_handshake {
+    /// True the first time a connection carries application data; marks it
+    /// started.
+    fn start_app(&mut self, conn: Conn) -> bool {
+        let c = self.conns.get_mut(&conn.endpoint).expect("conn exists");
+        !std::mem::replace(&mut c.app_started, true)
+    }
+
+    fn tls_flight(&mut self, flight: &Flight, conn: Conn, host: &str, s: &mut Scratch) {
+        self.ensure_tcp_established(conn);
+        if self.start_app(conn) {
             let mut random = [0u8; 32];
             self.rng.fill(&mut random);
             let hello = tls::ClientHello::new(random, host).to_record().encode();
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                tls::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &hello,
-                (2.0, 10.0),
-            );
+            self.tcp_out(conn, PSH_ACK, &hello, (2.0, 10.0));
             let mut server_random = [0u8; 32];
             self.rng.fill(&mut server_random);
-            let cs = tls::DEFAULT_CIPHER_SUITES
-                [self.rng.gen_range(0..tls::DEFAULT_CIPHER_SUITES.len())];
+            let suites = &tls::DEFAULT_CIPHER_SUITES;
+            let cs = suites[self.rng.gen_range(0..suites.len())];
             let reply = tls::server_hello(server_random, cs);
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                tls::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &reply,
-                (15.0, 90.0),
-            );
-            self.conns.get_mut(&flight.endpoint).expect("conn").app_started = true;
+            self.tcp_in(conn, PSH_ACK, &reply, (15.0, 90.0));
         }
-        let out_n = self.rng.gen_range(flight.out_packets.0..=flight.out_packets.1);
-        for _ in 0..out_n {
-            let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
-            let ct = self.payload_bytes(PayloadKind::Ciphertext, size);
-            let record = tls::application_data(ct).encode();
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                tls::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &record,
-                flight.iat_ms,
-            );
+        for _ in 0..self.between(flight.out_packets) {
+            let size = self.between(flight.out_size) as usize;
+            let record = s.tls_app_data(&mut self.rng, size);
+            self.tcp_out(conn, PSH_ACK, record, flight.iat_ms);
         }
-        let in_n = self.rng.gen_range(flight.in_packets.0..=flight.in_packets.1);
-        for _ in 0..in_n {
-            let size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
-            let ct = self.payload_bytes(PayloadKind::Ciphertext, size);
-            let record = tls::application_data(ct).encode();
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                tls::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &record,
-                flight.iat_ms,
-            );
+        for _ in 0..self.between(flight.in_packets) {
+            let size = self.between(flight.in_size) as usize;
+            let record = s.tls_app_data(&mut self.rng, size);
+            self.tcp_in(conn, PSH_ACK, record, flight.iat_ms);
         }
     }
 
     fn http_flight(
         &mut self,
         flight: &Flight,
-        remote: Ipv4Addr,
+        conn: Conn,
         host: &str,
-        leak: Option<&PiiLeak>,
+        leak: Option<(&PiiLeak, &str)>,
+        s: &mut Scratch,
     ) {
-        self.ensure_tcp_established(flight.endpoint, remote, http::PORT);
-        let body_size = self
-            .rng
-            .gen_range(flight.out_size.0..=flight.out_size.1)
-            .max(32) as usize;
-        let mut body = self.payload_bytes(flight.payload, body_size);
+        self.ensure_tcp_established(conn);
+        let body_size = self.between(flight.out_size).max(32) as usize;
+        let mut body = Vec::new();
         let path = match leak {
-            Some(l) => {
+            Some((l, text)) => {
                 let param = match l.kind {
                     PiiKind::MacAddress => "mac",
                     PiiKind::DeviceId => "device_id",
                     PiiKind::Geolocation => "loc",
                     PiiKind::DeviceName => "name",
                 };
-                let text = self.leak_text(l);
-                let mut prefix = format!("{param}={text}&").into_bytes();
-                prefix.append(&mut body);
-                body = prefix;
-                format!("/v1/checkin?{param}={}", self.leak_text(l).replace(' ', "%20"))
+                body.extend_from_slice(format!("{param}={text}&").as_bytes());
+                format!("/v1/checkin?{param}={}", text.replace(' ', "%20"))
             }
             None => "/v1/status".to_string(),
         };
+        payload_into(&mut self.rng, flight.payload, body_size, &mut body);
+        let spec = self.spec();
+        let user_agent = self
+            .user_agent
+            .get_or_insert_with(|| format!("{}/2.4", spec.id()));
         let request = http::Request::new("POST", host, &path)
-            .header("User-Agent", &format!("{}/2.4", self.spec().id()))
+            .header("User-Agent", user_agent)
             .body(body)
             .encode();
         // First packet carries headers + start of body; spill the rest.
-        let first_len = request.len().min(1200);
-        let (first, rest) = request.split_at(first_len);
-        self.tcp_out(
-            flight.endpoint,
-            remote,
-            http::PORT,
-            TcpFlags::PSH | TcpFlags::ACK,
-            first,
-            flight.iat_ms,
-        );
-        for chunk in rest.chunks(1200) {
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                http::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                chunk,
-                flight.iat_ms,
-            );
+        for chunk in request.chunks(1200) {
+            self.tcp_out(conn, PSH_ACK, chunk, flight.iat_ms);
         }
-        // Extra outbound data packets (e.g. plaintext video frames).
-        let extra = self
-            .rng
-            .gen_range(flight.out_packets.0..=flight.out_packets.1)
-            .saturating_sub(1);
-        for _ in 0..extra {
-            let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
-            let bytes = self.payload_bytes(flight.payload, size);
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                http::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &bytes,
-                flight.iat_ms,
-            );
+        // Extra outbound data packets (e.g. plaintext video frames); the
+        // request counts as the first.
+        for _ in 1..self.between(flight.out_packets) {
+            let size = self.between(flight.out_size) as usize;
+            let bytes = s.payload(&mut self.rng, flight.payload, size);
+            self.tcp_out(conn, PSH_ACK, bytes, flight.iat_ms);
         }
         // Response.
-        let resp_size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
+        let resp_size = self.between(flight.in_size) as usize;
         let resp_kind = match flight.payload {
             PayloadKind::Markup => PayloadKind::Markup,
             _ => PayloadKind::Telemetry,
         };
-        let resp_body = self.payload_bytes(resp_kind, resp_size);
+        let mut resp_body = Vec::new();
+        payload_into(&mut self.rng, resp_kind, resp_size, &mut resp_body);
         let response = http::Response::new(200, "OK", resp_body)
             .header("Content-Type", "application/octet-stream")
             .encode();
         for chunk in response.chunks(1200) {
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                http::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                chunk,
-                flight.iat_ms,
-            );
+            self.tcp_in(conn, PSH_ACK, chunk, flight.iat_ms);
         }
-        let extra_in = self
-            .rng
-            .gen_range(flight.in_packets.0..=flight.in_packets.1)
-            .saturating_sub(1);
-        for _ in 0..extra_in {
-            let size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
-            let bytes = self.payload_bytes(resp_kind, size);
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                http::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &bytes,
-                flight.iat_ms,
-            );
+        // Extra inbound packets; the response counts as the first.
+        for _ in 1..self.between(flight.in_packets) {
+            let size = self.between(flight.in_size) as usize;
+            let bytes = s.payload(&mut self.rng, resp_kind, size);
+            self.tcp_in(conn, PSH_ACK, bytes, flight.iat_ms);
         }
     }
 
-    fn quic_flight(&mut self, flight: &Flight, remote: Ipv4Addr) {
+    fn quic_flight(&mut self, flight: &Flight, remote: Ipv4Addr, s: &mut Scratch) {
         let (sport, _) = self.conn_entry(flight.endpoint);
         let mut dcid = [0u8; 8];
         self.rng.fill(&mut dcid);
-        let out_n = self.rng.gen_range(flight.out_packets.0..=flight.out_packets.1).max(1);
-        for _ in 0..out_n {
-            let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
-            let fill = self.payload_bytes(PayloadKind::Ciphertext, size);
-            let datagram = quic::QuicLongHeader::encode_initial(&dcid, &fill);
-            let ts = self.tick(flight.iat_ms);
-            let mut b = self.device.builder_out(remote);
-            self.push_pkt(b.udp(ts, sport, quic::PORT, &datagram));
+        for _ in 0..self.between(flight.out_packets).max(1) {
+            let size = self.between(flight.out_size) as usize;
+            let datagram = quic_initial(&mut self.rng, &dcid, size, &mut s.record);
+            self.udp_out(remote, sport, quic::PORT, datagram, flight.iat_ms);
         }
-        let in_n = self.rng.gen_range(flight.in_packets.0..=flight.in_packets.1);
-        for _ in 0..in_n {
-            let size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
-            let fill = self.payload_bytes(PayloadKind::Ciphertext, size);
-            let datagram = quic::QuicLongHeader::encode_initial(&dcid, &fill);
-            let ts = self.tick(flight.iat_ms);
-            let mut b = self.device.builder_in(remote);
-            self.push_pkt(b.udp(ts, quic::PORT, sport, &datagram));
+        for _ in 0..self.between(flight.in_packets) {
+            let size = self.between(flight.in_size) as usize;
+            let datagram = quic_initial(&mut self.rng, &dcid, size, &mut s.record);
+            self.udp_in(remote, quic::PORT, sport, datagram, flight.iat_ms);
         }
     }
 
-    fn mqtt_flight(&mut self, flight: &Flight, remote: Ipv4Addr, leak: Option<&PiiLeak>) {
-        self.ensure_tcp_established(flight.endpoint, remote, mqtt::PORT);
-        if !self.conns[&flight.endpoint].app_started {
+    fn mqtt_flight(&mut self, flight: &Flight, conn: Conn, leak: Option<&str>, s: &mut Scratch) {
+        self.ensure_tcp_established(conn);
+        if self.start_app(conn) {
+            let id = self.spec().id();
             let client_id = match leak {
-                Some(l) => format!("{}-{}", self.spec().id(), self.leak_text(l)),
-                None => format!("{}-{:08x}", self.spec().id(), self.rng.gen::<u32>()),
+                Some(text) => format!("{id}-{text}"),
+                None => format!("{id}-{:08x}", self.rng.gen::<u32>()),
             };
             let connect = mqtt::MqttPacket::Connect { client_id }.encode();
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                mqtt::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &connect,
-                (2.0, 12.0),
-            );
+            self.tcp_out(conn, PSH_ACK, &connect, (2.0, 12.0));
             let connack = mqtt::MqttPacket::ConnAck.encode();
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                mqtt::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &connack,
-                (10.0, 60.0),
-            );
-            self.conns.get_mut(&flight.endpoint).expect("conn").app_started = true;
+            self.tcp_in(conn, PSH_ACK, &connack, (10.0, 60.0));
         }
-        let out_n = self.rng.gen_range(flight.out_packets.0..=flight.out_packets.1);
-        for i in 0..out_n {
-            let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
-            let mut payload = self.payload_bytes(flight.payload, size);
-            if i == 0 {
-                if let Some(l) = leak {
-                    let mut prefix = self.leak_text(l).into_bytes();
-                    prefix.push(b';');
-                    prefix.append(&mut payload);
-                    payload = prefix;
-                }
+        for i in 0..self.between(flight.out_packets) {
+            let size = self.between(flight.out_size) as usize;
+            s.payload.clear();
+            if let (0, Some(text)) = (i, leak) {
+                s.payload.extend_from_slice(text.as_bytes());
+                s.payload.push(b';');
             }
-            let publish = mqtt::MqttPacket::Publish {
-                topic: format!("{}/telemetry", self.spec().id()),
-                payload,
-            }
-            .encode();
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                mqtt::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &publish,
-                flight.iat_ms,
-            );
+            payload_into(&mut self.rng, flight.payload, size, &mut s.payload);
+            let spec = self.spec();
+            let topic = self
+                .mqtt_topic
+                .get_or_insert_with(|| format!("{}/telemetry", spec.id()));
+            s.record.clear();
+            mqtt::write_publish(&mut s.record, topic, &s.payload);
+            self.tcp_out(conn, PSH_ACK, &s.record, flight.iat_ms);
         }
-        let in_n = self.rng.gen_range(flight.in_packets.0..=flight.in_packets.1);
-        for _ in 0..in_n {
-            let pong = mqtt::MqttPacket::PingResp.encode();
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                mqtt::PORT,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &pong,
-                flight.iat_ms,
-            );
+        let pong = mqtt::MqttPacket::PingResp.encode();
+        for _ in 0..self.between(flight.in_packets) {
+            self.tcp_in(conn, PSH_ACK, &pong, flight.iat_ms);
         }
     }
 
-    fn raw_tcp_flight(
-        &mut self,
-        flight: &Flight,
-        remote: Ipv4Addr,
-        port: u16,
-        leak: Option<&PiiLeak>,
-    ) {
-        self.ensure_tcp_established(flight.endpoint, remote, port);
-        let out_n = self.rng.gen_range(flight.out_packets.0..=flight.out_packets.1);
-        for i in 0..out_n {
-            let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
-            let mut payload = self.payload_bytes(flight.payload, size);
-            if i == 0 {
-                if let Some(l) = leak {
-                    payload = splice_leak(self.leak_text(l), payload);
-                }
-            }
-            self.tcp_out(
-                flight.endpoint,
-                remote,
-                port,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &payload,
-                flight.iat_ms,
-            );
+    fn raw_tcp_flight(&mut self, flight: &Flight, conn: Conn, leak: Option<&str>, s: &mut Scratch) {
+        self.ensure_tcp_established(conn);
+        for i in 0..self.between(flight.out_packets) {
+            let size = self.between(flight.out_size) as usize;
+            let payload = proprietary(&mut self.rng, flight.payload, size, leak, i, s);
+            self.tcp_out(conn, PSH_ACK, payload, flight.iat_ms);
         }
-        let in_n = self.rng.gen_range(flight.in_packets.0..=flight.in_packets.1);
-        for _ in 0..in_n {
-            let size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
-            let payload = self.payload_bytes(flight.payload, size);
-            self.tcp_in(
-                flight.endpoint,
-                remote,
-                port,
-                TcpFlags::PSH | TcpFlags::ACK,
-                &payload,
-                flight.iat_ms,
-            );
+        for _ in 0..self.between(flight.in_packets) {
+            let size = self.between(flight.in_size) as usize;
+            let payload = s.payload(&mut self.rng, flight.payload, size);
+            self.tcp_in(conn, PSH_ACK, payload, flight.iat_ms);
         }
     }
 
@@ -819,29 +726,19 @@ impl<'a> TrafficGenerator<'a> {
         flight: &Flight,
         remote: Ipv4Addr,
         port: u16,
-        leak: Option<&PiiLeak>,
+        leak: Option<&str>,
+        s: &mut Scratch,
     ) {
         let (sport, _) = self.conn_entry(flight.endpoint);
-        let out_n = self.rng.gen_range(flight.out_packets.0..=flight.out_packets.1);
-        for i in 0..out_n {
-            let size = self.rng.gen_range(flight.out_size.0..=flight.out_size.1) as usize;
-            let mut payload = self.payload_bytes(flight.payload, size);
-            if i == 0 {
-                if let Some(l) = leak {
-                    payload = splice_leak(self.leak_text(l), payload);
-                }
-            }
-            let ts = self.tick(flight.iat_ms);
-            let mut b = self.device.builder_out(remote);
-            self.push_pkt(b.udp(ts, sport, port, &payload));
+        for i in 0..self.between(flight.out_packets) {
+            let size = self.between(flight.out_size) as usize;
+            let payload = proprietary(&mut self.rng, flight.payload, size, leak, i, s);
+            self.udp_out(remote, sport, port, payload, flight.iat_ms);
         }
-        let in_n = self.rng.gen_range(flight.in_packets.0..=flight.in_packets.1);
-        for _ in 0..in_n {
-            let size = self.rng.gen_range(flight.in_size.0..=flight.in_size.1) as usize;
-            let payload = self.payload_bytes(flight.payload, size);
-            let ts = self.tick(flight.iat_ms);
-            let mut b = self.device.builder_in(remote);
-            self.push_pkt(b.udp(ts, port, sport, &payload));
+        for _ in 0..self.between(flight.in_packets) {
+            let size = self.between(flight.in_size) as usize;
+            let payload = s.payload(&mut self.rng, flight.payload, size);
+            self.udp_in(remote, port, sport, payload, flight.iat_ms);
         }
     }
 }
@@ -859,11 +756,72 @@ fn default_payload(protocol: EndpointProtocol) -> PayloadKind {
     }
 }
 
-/// Prepends `id=<leak>;` to a proprietary payload.
-fn splice_leak(text: String, mut payload: Vec<u8>) -> Vec<u8> {
-    let mut out = format!("id={text};").into_bytes();
-    out.append(&mut payload);
+/// Sequence number after sending `payload` with `flags` (SYN and FIN each
+/// take one).
+fn next_seq(seq: u32, flags: TcpFlags, payload: &[u8]) -> u32 {
+    seq.wrapping_add(payload.len() as u32)
+        .wrapping_add(u32::from(
+            flags.contains(TcpFlags::SYN) || flags.contains(TcpFlags::FIN),
+        ))
+}
+
+/// Appends `len` bytes of `kind` to `out`.
+fn payload_into(rng: &mut StdRng, kind: PayloadKind, len: usize, out: &mut Vec<u8>) {
+    match kind {
+        PayloadKind::Ciphertext => generators::ciphertext_into(rng, len, out),
+        PayloadKind::EncodedCiphertext => generators::fernet_like_into(rng, len, out),
+        PayloadKind::Telemetry => {
+            generators::text_like_into(rng, len, generators::TextStyle::Telemetry, out)
+        }
+        PayloadKind::Markup => {
+            generators::text_like_into(rng, len, generators::TextStyle::WebPage, out)
+        }
+        PayloadKind::Media => generators::media_like_into(rng, len, out),
+        PayloadKind::MediaJpeg => {
+            out.extend_from_slice(&[0xff, 0xd8, 0xff, 0xe0]);
+            generators::media_like_into(rng, len.saturating_sub(4), out);
+        }
+        PayloadKind::MixedProprietary => {
+            // Half structured telemetry, half ciphertext: entropy lands
+            // in the undetermined band, like the paper's partly
+            // encrypted vendor protocols.
+            let half = len / 2;
+            generators::text_like_into(rng, half, generators::TextStyle::Telemetry, out);
+            generators::ciphertext_into(rng, len - half, out);
+        }
+    }
+}
+
+/// Replaces `out` with a QUIC Initial datagram whose `len`-byte ciphertext
+/// fill is drawn in place behind the long header.
+fn quic_initial<'s>(rng: &mut StdRng, dcid: &[u8], len: usize, out: &'s mut Vec<u8>) -> &'s [u8] {
+    out.clear();
+    quic::QuicLongHeader::write_initial_header(out, dcid);
+    generators::ciphertext_into(rng, len, out);
     out
+}
+
+/// The `i`-th outbound payload of a proprietary channel: fresh bytes of
+/// `kind`, with `id=<leak>;` spliced in front of the first one.
+fn proprietary<'s>(
+    rng: &mut StdRng,
+    kind: PayloadKind,
+    len: usize,
+    leak_text: Option<&str>,
+    i: u32,
+    s: &'s mut Scratch,
+) -> &'s [u8] {
+    match (i, leak_text) {
+        (0, Some(text)) => {
+            s.record.clear();
+            s.record.extend_from_slice(b"id=");
+            s.record.extend_from_slice(text.as_bytes());
+            s.record.push(b';');
+            payload_into(rng, kind, len, &mut s.record);
+            &s.record
+        }
+        _ => s.payload(rng, kind, len),
+    }
 }
 
 #[cfg(test)]
@@ -871,6 +829,7 @@ mod tests {
     use super::*;
     use crate::lab::{Lab, LabSite};
     use iot_net::flow::FlowTable;
+    use iot_net::packet::Packet;
     use iot_protocols::analyzer::{identify_flow, ProtocolId, Transport};
 
     fn setup() -> (GeoDb, Lab) {
