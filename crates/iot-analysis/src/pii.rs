@@ -162,15 +162,21 @@ fn base64_phase_patterns(value: &[u8]) -> Vec<Vec<u8>> {
 
 /// The search patterns for one device: every identifier in every encoding.
 ///
-/// Compiled for position-major scanning: patterns are bucketed by first
-/// byte, so a search makes one pass over the payload and only attempts a
-/// `starts_with` where a pattern could actually begin — instead of one
-/// full [`find_subsequence`] pass per pattern (~21 passes per payload).
+/// Compiled for position-major scanning: one pass over the payload tests
+/// each (byte, next byte) pair against the set of pairs that begin a
+/// pattern, and only where one does attempts a `starts_with` for the
+/// patterns with that first byte — instead of one full
+/// [`find_subsequence`] pass per pattern (~21 passes per payload).
 #[derive(Debug, Clone)]
 pub struct PiiPatterns {
     patterns: Vec<(PiiFindingKind, &'static str, Vec<u8>)>,
-    /// Pattern indices by first byte; almost every payload byte hits an
-    /// empty bucket.
+    /// Slot of each byte that begins a pattern; 0 for every other byte.
+    slot: [u8; 256],
+    /// Per slot, the 256-bit set of bytes that may follow the first one:
+    /// each pattern's second byte, or every byte for a 1-byte pattern.
+    /// Slot 0 is empty, so almost every payload position misses.
+    seconds: Vec<[u64; 4]>,
+    /// Per slot, the indices of the patterns with that first byte.
     buckets: Vec<Vec<u16>>,
 }
 
@@ -210,45 +216,80 @@ impl PiiPatterns {
                 patterns.push((kind, "base64", pattern));
             }
         }
-        // The bitmask in `search` holds one bit per pattern; identities
-        // produce ~21, far under the limit.
+        // The hit mask holds one bit per pattern; identities produce ~21,
+        // far under the limit.
         assert!(patterns.len() <= 64, "too many PII patterns for bitmask");
-        let mut buckets = vec![Vec::new(); 256];
+        let mut slot = [0u8; 256];
+        let mut seconds = vec![[0u64; 4]];
+        let mut buckets = vec![Vec::new()];
         for (i, (_, _, pattern)) in patterns.iter().enumerate() {
-            if let Some(&first) = pattern.first() {
-                buckets[usize::from(first)].push(i as u16);
+            // An empty pattern never matches, as in `find_subsequence`.
+            let Some(&first) = pattern.first() else {
+                continue;
+            };
+            if slot[usize::from(first)] == 0 {
+                slot[usize::from(first)] = seconds.len() as u8;
+                seconds.push([0; 4]);
+                buckets.push(Vec::new());
             }
+            let k = usize::from(slot[usize::from(first)]);
+            match pattern.get(1) {
+                Some(&second) => seconds[k][usize::from(second >> 6)] |= 1 << (second & 63),
+                None => seconds[k] = [u64::MAX; 4],
+            }
+            buckets[k].push(i as u16);
         }
-        PiiPatterns { patterns, buckets }
+        PiiPatterns {
+            patterns,
+            slot,
+            seconds,
+            buckets,
+        }
     }
 
     /// Searches a payload for any pattern; returns (kind, encoding) hits.
     /// Same hit set as [`PiiPatterns::search_naive`] — a property test
     /// pins the equivalence.
     pub fn search(&self, payload: &[u8]) -> Vec<(PiiFindingKind, &'static str)> {
-        let total = self.patterns.len();
-        let mut found = 0u64;
-        let mut nfound = 0usize;
-        'scan: for (i, &b) in payload.iter().enumerate() {
-            let bucket = &self.buckets[usize::from(b)];
-            if bucket.is_empty() {
-                continue;
-            }
-            for &pi in bucket {
-                let bit = 1u64 << pi;
-                if found & bit != 0 {
-                    continue;
-                }
-                let pattern = &self.patterns[usize::from(pi)].2;
-                if payload[i..].starts_with(pattern) {
-                    found |= bit;
-                    nfound += 1;
-                    if nfound == total {
-                        break 'scan;
-                    }
+        self.hits(self.hit_mask(payload, 0))
+    }
+
+    /// Adds to `found` a bit for every pattern that occurs in `payload`
+    /// (bit `i` is pattern `i`); patterns already in `found` are not
+    /// searched again.
+    fn hit_mask(&self, payload: &[u8], mut found: u64) -> u64 {
+        let all = u64::MAX >> (64 - self.patterns.len());
+        if payload.is_empty() {
+            return found;
+        }
+        for (i, w) in payload.windows(2).enumerate() {
+            let seconds = &self.seconds[usize::from(self.slot[usize::from(w[0])])];
+            if seconds[usize::from(w[1] >> 6)] & (1 << (w[1] & 63)) != 0 {
+                found = self.try_bucket(payload, i, found);
+                if found == all {
+                    return found;
                 }
             }
         }
+        // The last byte has no successor: only a 1-byte pattern can start
+        // there, and its bucket is the only place to look.
+        self.try_bucket(payload, payload.len() - 1, found)
+    }
+
+    /// Tries every not-yet-found pattern whose first byte is `payload[i]`
+    /// at position `i`.
+    fn try_bucket(&self, payload: &[u8], i: usize, mut found: u64) -> u64 {
+        for &pi in &self.buckets[usize::from(self.slot[usize::from(payload[i])])] {
+            let bit = 1u64 << pi;
+            if found & bit == 0 && payload[i..].starts_with(&self.patterns[usize::from(pi)].2) {
+                found |= bit;
+            }
+        }
+        found
+    }
+
+    /// The deduplicated (kind, encoding) pairs of a hit mask, sorted.
+    fn hits(&self, found: u64) -> Vec<(PiiFindingKind, &'static str)> {
         let mut hits: Vec<(PiiFindingKind, &'static str)> = self
             .patterns
             .iter()
@@ -311,11 +352,8 @@ pub(crate) fn scan_flow(
     patterns: &PiiPatterns,
     lf: &crate::flows::LabeledFlow,
 ) -> Vec<(PiiFindingKind, &'static str)> {
-    let mut hits = patterns.search(&lf.flow.payload_out);
-    hits.extend(patterns.search(&lf.flow.payload_in));
-    hits.sort();
-    hits.dedup();
-    hits
+    let found = patterns.hit_mask(&lf.flow.payload_out, 0);
+    patterns.hits(patterns.hit_mask(&lf.flow.payload_in, found))
 }
 
 /// Builds and appends the findings for one flow's hits.
@@ -598,6 +636,83 @@ mod tests {
                 let naive = patterns.search_naive(&payload);
                 assert_eq!(fast, naive, "{device} case {case} len {}", payload.len());
             }
+        }
+    }
+
+    /// Edge cases of the pair prefilter, each checked against
+    /// [`PiiPatterns::search_naive`]: every pattern as the exact payload
+    /// and as its suffix, payloads of 0–3 bytes, the colon and hyphen MAC
+    /// forms (which share their first two bytes), and hand-built
+    /// identities whose name and location are empty, 1 or 2 bytes long —
+    /// a 1-byte pattern must match anywhere, the last byte included. The
+    /// two-direction mask of `scan_flow` must equal the union of both
+    /// directions' reference hits.
+    #[test]
+    fn pair_prefilter_edges_match_naive() {
+        let check = |patterns: &PiiPatterns, payload: &[u8], what: &str| {
+            assert_eq!(
+                patterns.search(payload),
+                patterns.search_naive(payload),
+                "{what}: {:?}",
+                String::from_utf8_lossy(payload)
+            );
+        };
+        let lab = Lab::deploy(LabSite::Us);
+        let mut identities = vec![identity_of(lab.device("Sengled Hub").unwrap())];
+        for (name, location) in [("", ""), ("N", "L"), ("Na", "Lo"), ("", "Lo"), ("N", "")] {
+            // A decimal first octet: the colon and hyphen forms then
+            // share their first two bytes, so one pair leads to both.
+            identities.push(DeviceIdentity {
+                mac: iot_net::mac::MacAddr([0x18, 0x3a, 0x00, 0x3a, 0x2d, 0xff]),
+                device_id: "0123456789abcdef".to_string(),
+                device_name: name.to_string(),
+                location: location.to_string(),
+            });
+        }
+        let mut rng = iot_core::rng::StdRng::seed_from_u64(0xED6E_5EED);
+        for identity in &identities {
+            let patterns = PiiPatterns::for_identity(identity);
+            let what = format!("{:?}/{:?}", identity.device_name, identity.location);
+            for (_, _, pattern) in &patterns.patterns {
+                check(&patterns, pattern, &what);
+                let mut suffixed = vec![0u8; rng.gen_range(1usize..40)];
+                rng.fill(&mut suffixed);
+                suffixed.extend_from_slice(pattern);
+                check(&patterns, &suffixed, &what);
+                check(&patterns, &pattern[..pattern.len().min(3)], &what);
+            }
+            check(&patterns, b"", &what);
+            for b in 0..=u8::MAX {
+                check(&patterns, &[b], &what);
+                check(&patterns, &[b, b'N'], &what);
+                check(&patterns, &[b'L', b'o', b], &what);
+            }
+            for _ in 0..256 {
+                let mut short = vec![0u8; rng.gen_range(2usize..4)];
+                rng.fill(&mut short);
+                check(&patterns, &short, &what);
+            }
+            let colon = identity.mac.to_string();
+            let hyphen = identity.mac.to_hyphen_string();
+            for payload in [
+                colon.clone(),
+                hyphen.clone(),
+                format!("x{hyphen}{colon}"),
+                format!("{}{hyphen}", &colon[..8]),
+            ] {
+                check(&patterns, payload.as_bytes(), &what);
+            }
+            let (out, inb) = (format!("id={colon}&"), format!("{hyphen}N"));
+            let mut union = patterns.search_naive(out.as_bytes());
+            union.extend(patterns.search_naive(inb.as_bytes()));
+            union.sort();
+            union.dedup();
+            let found = patterns.hit_mask(out.as_bytes(), 0);
+            assert_eq!(
+                patterns.hits(patterns.hit_mask(inb.as_bytes(), found)),
+                union,
+                "{what}"
+            );
         }
     }
 

@@ -5,14 +5,13 @@
 //! - [`normalized_entropy`]: the naive per-byte histogram + per-class
 //!   `log2` reference. Simple, allocation-free, and the semantic ground
 //!   truth.
-//! - [`EntropyScratch`]: the hot-path version. Counts bytes in u64-wide
-//!   chunks into four unrolled lane tables (no same-byte increment
-//!   dependency chain, still std-only — no intrinsics), and replaces the
-//!   per-symbol-class `p·log2(p)` calls with a per-length cached term
-//!   table. The term table entries are computed with *exactly* the same
-//!   floating-point expression and the histogram is folded in exactly
-//!   the same index order, so the result is bit-identical (0 ulps) to
-//!   the reference — a property test in this crate pins that.
+//! - [`EntropyScratch`]: the hot-path version. Counts bytes into one
+//!   reusable table while recording the touched bins in a 256-bit mask,
+//!   then folds only those bins, lowest index first, through a
+//!   per-length cached `p·log2(p)` term table. Each term is computed with
+//!   *exactly* the reference's floating-point expression and the bins are
+//!   folded in the reference's index order, so the result is
+//!   bit-identical (0 ulps) — property tests in this crate pin that.
 
 /// Computes the normalized Shannon entropy of a byte sequence.
 ///
@@ -59,18 +58,21 @@ pub fn mean_packet_entropy<'a>(payloads: impl IntoIterator<Item = &'a [u8]>) -> 
 }
 
 /// Payload lengths up to this get a cached `p·log2(p)` term table; longer
-/// inputs fall back to the reference implementation (they are rare — the
-/// pipeline measures 160-byte pseudo-packets — and the fallback is
-/// bit-identical by definition).
-const MAX_CACHED_N: usize = 8192;
+/// inputs fall back to the reference implementation (the pipeline measures
+/// 160-byte pseudo-packets, and the fallback is bit-identical by
+/// definition). The bound caps what one scratch can retain at
+/// Σ 8·(n+1) B ≈ 4.2 MB.
+const MAX_CACHED_N: usize = 1024;
 
-/// Reusable state for the chunked entropy fast path: four byte-count lane
-/// tables plus per-length term tables. One scratch per worker/analysis —
-/// it is deliberately not `Sync`, mirroring the shard-local design of the
-/// rest of the pipeline.
+/// Reusable state for the entropy fast path: one byte-count table plus
+/// per-length term tables. One scratch per worker/analysis — it is
+/// deliberately not `Sync`, mirroring the shard-local design of the rest
+/// of the pipeline.
 pub struct EntropyScratch {
-    /// Four unrolled count lanes; folded (and re-zeroed) after each call.
-    lanes: Box<[[u32; 256]; 4]>,
+    /// Byte counts of the input being measured; every touched bin is
+    /// zeroed again as it is folded, so the table is all zeros between
+    /// calls.
+    counts: Box<[u32; 256]>,
     /// `terms[n][c] = (c/n)·log2(c/n)` for `1 ≤ c ≤ n`, built lazily per
     /// distinct payload length `n`; an empty slice means "not built yet".
     terms: Vec<Box<[f64]>>,
@@ -86,7 +88,7 @@ impl EntropyScratch {
     /// Creates an empty scratch.
     pub fn new() -> Self {
         EntropyScratch {
-            lanes: Box::new([[0u32; 256]; 4]),
+            counts: Box::new([0u32; 256]),
             terms: Vec::new(),
         }
     }
@@ -97,7 +99,7 @@ impl EntropyScratch {
         }
         if terms[n].is_empty() {
             let nf = n as f64;
-            let table: Vec<f64> = (0..=n)
+            terms[n] = (0..=n)
                 .map(|c| {
                     if c == 0 {
                         0.0
@@ -108,13 +110,13 @@ impl EntropyScratch {
                     }
                 })
                 .collect();
-            terms[n] = table.into_boxed_slice();
         }
         &terms[n]
     }
 
-    /// Chunked-counting, table-driven [`normalized_entropy`]. Bit-identical
-    /// to the reference for every input.
+    /// Table-driven [`normalized_entropy`] whose fold costs the number of
+    /// distinct bytes, not 256. Bit-identical to the reference for every
+    /// input.
     pub fn normalized_entropy(&mut self, data: &[u8]) -> f64 {
         let n = data.len();
         if n == 0 {
@@ -123,38 +125,21 @@ impl EntropyScratch {
         if n > MAX_CACHED_N {
             return normalized_entropy(data);
         }
-        let EntropyScratch { lanes, terms } = self;
-        let lanes = &mut **lanes;
-        let mut chunks = data.chunks_exact(8);
-        for c in &mut chunks {
-            // One u64 load feeds eight independent lane increments; the
-            // four lanes break the dependency chain a single count table
-            // would have on runs of equal bytes.
-            let w = u64::from_le_bytes(c.try_into().unwrap());
-            lanes[0][(w & 0xff) as usize] += 1;
-            lanes[1][((w >> 8) & 0xff) as usize] += 1;
-            lanes[2][((w >> 16) & 0xff) as usize] += 1;
-            lanes[3][((w >> 24) & 0xff) as usize] += 1;
-            lanes[0][((w >> 32) & 0xff) as usize] += 1;
-            lanes[1][((w >> 40) & 0xff) as usize] += 1;
-            lanes[2][((w >> 48) & 0xff) as usize] += 1;
-            lanes[3][((w >> 56) & 0xff) as usize] += 1;
-        }
-        for (j, &b) in chunks.remainder().iter().enumerate() {
-            lanes[j & 3][usize::from(b)] += 1;
+        let EntropyScratch { counts, terms } = self;
+        let mut touched = [0u64; 4];
+        for &b in data {
+            counts[usize::from(b)] += 1;
+            touched[usize::from(b >> 6)] |= 1u64 << (b & 63);
         }
         let table = Self::term_table(terms, n);
         let mut h = 0.0;
-        for i in 0..256 {
-            // Fold the lanes and re-zero them in the same pass, in the
-            // same index order the reference iterates its histogram.
-            let c = lanes[0][i] + lanes[1][i] + lanes[2][i] + lanes[3][i];
-            lanes[0][i] = 0;
-            lanes[1][i] = 0;
-            lanes[2][i] = 0;
-            lanes[3][i] = 0;
-            if c > 0 {
-                h -= table[c as usize];
+        for (word, mut bits) in touched.into_iter().enumerate() {
+            while bits != 0 {
+                // Lowest set bit first: the reference's index order.
+                let i = word * 64 + bits.trailing_zeros() as usize;
+                h -= table[counts[i] as usize];
+                counts[i] = 0;
+                bits &= bits - 1;
             }
         }
         h / 8.0
@@ -277,28 +262,56 @@ mod tests {
         EntropyStats::from_values(&[]);
     }
 
+    /// Fixed edge cases, fed in order through one scratch: bins on the
+    /// touched-mask word edges, exactly 256 distinct values, both sides of
+    /// the term-cache bound, and inputs right after a fallback-size and a
+    /// constant input. Each must be bit-equal to the reference and must
+    /// leave the count table all zeros.
     #[test]
     fn scratch_matches_reference_on_fixed_edges() {
-        let mut s = EntropyScratch::new();
-        let uniform: Vec<u8> = (0..=255).collect();
-        let cases: Vec<Vec<u8>> = vec![
+        let edges = [63u8, 64, 127, 128, 191, 192, 255, 0];
+        let mut cases: Vec<Vec<u8>> = vec![
             vec![],
             vec![0x00],
             vec![0xff],
             vec![0x41; 7],      // odd length, constant
             vec![0x41; 1000],
-            uniform,
+            (0..=255).collect(),
             (0..128).collect(), // finite-sample cap
             b"GET / HTTP/1.1\r\nHost: x\r\n".to_vec(),
+            edges.to_vec(),
+            edges.iter().cycle().take(160).copied().collect(),
+            edges
+                .iter()
+                .flat_map(|&b| [b, b, b.wrapping_sub(1)])
+                .collect(),
+            (0..=255).rev().collect(),
+            (0..512).map(|i| (i * 7 % 256) as u8).collect(), // 256 values, twice each
         ];
-        for data in &cases {
+        cases.extend(edges.iter().map(|&b| vec![b; 3]));
+        for len in [MAX_CACHED_N - 1, MAX_CACHED_N, MAX_CACHED_N + 1] {
+            cases.push((0..len).map(|i| (i * 31 % 251) as u8).collect());
+        }
+        // Reuse after a fallback-size input, then after a constant one.
+        cases.push((0..MAX_CACHED_N * 2).map(|i| (i % 256) as u8).collect());
+        cases.push(edges.to_vec());
+        cases.push(vec![0xff; 160]);
+        cases.push(vec![0xff, 0x00, 0xff, 0x40]);
+        cases.push(vec![0x00; MAX_CACHED_N]);
+        cases.push((0..=255).collect());
+        let mut s = EntropyScratch::new();
+        for (case, data) in cases.iter().enumerate() {
             let naive = normalized_entropy(data);
             let fast = s.normalized_entropy(data);
             assert_eq!(
                 naive.to_bits(),
                 fast.to_bits(),
-                "len {}: {naive} vs {fast}",
+                "case {case} len {}: {naive} vs {fast}",
                 data.len()
+            );
+            assert!(
+                s.counts.iter().all(|&c| c == 0),
+                "case {case} left counts behind"
             );
         }
     }

@@ -6,10 +6,10 @@
 //! cargo run --release --example privacy_audit
 //! ```
 
-use intl_iot::analysis::encryption::{classify_flow, ClassBytes};
+use intl_iot::analysis::encryption::{classify_flow_with, ClassBytes};
 use intl_iot::analysis::flows::ExperimentFlows;
 use intl_iot::analysis::pii::scan_experiment;
-use intl_iot::entropy::{EncryptionClass, Thresholds};
+use intl_iot::entropy::{EncryptionClass, EntropyScratch, Thresholds};
 use intl_iot::geodb::registry::GeoDb;
 use intl_iot::testbed::experiment::{run_interaction, run_power};
 use intl_iot::testbed::lab::{Lab, LabSite};
@@ -26,6 +26,7 @@ const DEVICES: &[&str] = &[
 fn main() {
     let db = GeoDb::new();
     let thresholds = Thresholds::default();
+    let mut scratch = EntropyScratch::new();
     for site in LabSite::all() {
         let lab = Lab::deploy(site);
         println!("===== {} lab =====", site.name());
@@ -51,7 +52,7 @@ fn main() {
             for exp in &experiments {
                 let flows = ExperimentFlows::from_experiment(exp);
                 for lf in &flows.flows {
-                    let class = classify_flow(lf, &thresholds);
+                    let class = classify_flow_with(lf, &thresholds, &mut scratch);
                     let n = lf.flow.total_bytes();
                     match class {
                         EncryptionClass::LikelyUnencrypted => bytes.unencrypted += n,

@@ -20,11 +20,11 @@
 //! Unknown subcommands or flags print the usage text and exit with
 //! status 2; runtime failures exit with status 1.
 
-use intl_iot::analysis::encryption::{classify_flow, ClassBytes};
+use intl_iot::analysis::encryption::{classify_flow_with, ClassBytes};
 use intl_iot::analysis::flows::ExperimentFlows;
 use intl_iot::analysis::pii::PiiPatterns;
 use intl_iot::analysis::unexpected::segment_units;
-use intl_iot::entropy::{EncryptionClass, Thresholds};
+use intl_iot::entropy::{EncryptionClass, EntropyScratch, Thresholds};
 use intl_iot::geodb::party::classify;
 use intl_iot::geodb::registry::GeoDb;
 use intl_iot::testbed::capture::{read_device_dir, slice_by_label, CaptureStore};
@@ -214,6 +214,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     let identity = identity_of(find_device(&lab, spec.name)?);
     let patterns = PiiPatterns::for_identity(&identity);
     let thresholds = Thresholds::default();
+    let mut scratch = EntropyScratch::new();
 
     println!(
         "{:<22} {:>7} {:>8}  {:<40} {}",
@@ -237,7 +238,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         let mut dests = std::collections::BTreeSet::new();
         let mut pii = std::collections::BTreeSet::new();
         for lf in &flows.flows {
-            let class = classify_flow(lf, &thresholds);
+            let class = classify_flow_with(lf, &thresholds, &mut scratch);
             let n = lf.flow.total_bytes();
             match class {
                 EncryptionClass::LikelyUnencrypted => bytes.unencrypted += n,
