@@ -509,6 +509,12 @@ impl DestinationAnalysis {
         (with, devices.len())
     }
 
+    /// The owning organization (when known) and §4.1 party of every
+    /// observed destination, in no particular order.
+    pub fn parties(&self) -> impl Iterator<Item = (Option<&'static str>, PartyType)> + '_ {
+        self.observations.values().map(|v| (v.org_name, v.party))
+    }
+
     /// Serializes the observation map for the campaign checkpoint
     /// journal. Entries are emitted in sorted key order so identical
     /// analyses always produce identical bytes regardless of hash-map

@@ -76,7 +76,7 @@ use iot_core::json::{Json, ToJson};
 use iot_entropy::EncryptionClass;
 use iot_geodb::party::PartyType;
 use iot_geodb::registry::GeoDb;
-use iot_net::pcap::{Capture, PcapCursor};
+use iot_net::pcap::Capture;
 use iot_obs::{AllocStats, Registry};
 use iot_protocols::analyzer::ProtocolId;
 use iot_testbed::catalog;
@@ -332,7 +332,7 @@ impl PipelineShard {
                     w.begin();
                 }
                 let failure: Option<&'static str> = if total_loss {
-                    // from_bytes_lenient salvaged nothing at all; with
+                    // Capture::salvage refused the capture outright; with
                     // retries available this is transient, without them it
                     // is a permanent loss (of an already-empty capture).
                     Some("salvage_loss")
@@ -451,20 +451,11 @@ fn degrade_capture_at(
     ledger.packets_dropped += fstats.packets_dropped;
     ledger.packets_duplicated += fstats.packets_duplicated;
     ledger.records_corrupted += fstats.headers_corrupted;
-    match PcapCursor::lenient(&bytes) {
-        Ok(mut cur) => {
-            // Walk the degraded bytes once through the lenient salvage
-            // cursor, folding surviving frames into a fresh writer-clean
-            // capture: one contiguous buffer, not a Vec per packet. The
-            // salvage ledger reads off the same walk.
-            let mut salvaged = Capture::new();
-            while let Some(view) = cur.next_view() {
-                let view = view.expect("lenient cursor surfaces no errors");
-                salvaged
-                    .push(view.ts_micros, view.data)
-                    .expect("salvaged timestamps fit the pcap format");
-            }
-            let sstats = cur.stats();
+    // One lenient walk folds the surviving frames into a fresh
+    // writer-clean capture: one contiguous buffer, not a Vec per packet.
+    // The salvage ledger reads off the same walk.
+    match Capture::salvage(&bytes) {
+        Ok((salvaged, sstats)) => {
             ledger.packets_lost += fstats.records_written - salvaged.record_count() as u64;
             ledger.packets_truncated += sstats.records_truncated;
             ledger.salvage_resyncs += sstats.resyncs;

@@ -22,9 +22,9 @@
 //!
 //! The crate is intentionally low-level: it knows about [`iot_net`]
 //! packets and pcap framing, nothing above. The salvage counterpart —
-//! reading the degraded bytes back — lives in `iot_net::pcap`
-//! (`from_bytes_lenient`), and the accounting that reconciles generated
-//! vs. ingested vs. lost packets lives in `iot_analysis::ingest`.
+//! reading the degraded bytes back — is `iot_net::pcap::Capture::salvage`
+//! (a lenient `PcapCursor` walk), and the accounting that reconciles
+//! generated vs. ingested vs. lost packets lives in `iot_analysis::ingest`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -41,6 +41,10 @@ pub enum Error {
     },
     /// A pcap file had an unknown magic number.
     BadMagic(u32),
+    /// A pcap file's global header declares a link type other than
+    /// Ethernet (e.g. 101 raw IP, 113 Linux cooked); its records cannot
+    /// be parsed as Ethernet frames.
+    UnsupportedLinkType(u32),
     /// A pcap record header violates the writer invariant (sub-second
     /// microseconds, plausible frame lengths, `orig_len >= incl_len`).
     BadRecord {
@@ -88,6 +92,9 @@ impl fmt::Display for Error {
                 "{layer}: checksum mismatch (header 0x{found:04x}, computed 0x{computed:04x})"
             ),
             Error::BadMagic(m) => write!(f, "pcap: unknown magic number 0x{m:08x}"),
+            Error::UnsupportedLinkType(t) => {
+                write!(f, "pcap: unsupported link type {t} (only Ethernet, 1, is read)")
+            }
             Error::BadRecord { record, what } => {
                 write!(f, "pcap: record {record} has an implausible header ({what})")
             }

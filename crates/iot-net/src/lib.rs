@@ -13,10 +13,12 @@
 //! * [`packet`] — composed packets: build ([`packet::PacketBuilder`],
 //!   written in place into a [`pcap::Capture`] record) and parse
 //!   ([`packet::ParsedPacket`]) full frames.
-//! * [`pcap`] — classic libpcap capture-file reader/writer, so simulated
-//!   captures are byte-compatible with tcpdump output; a lenient salvage
-//!   mode ([`pcap::from_bytes_lenient`]) resynchronizes past corrupt
-//!   records and torn tails instead of aborting.
+//! * [`pcap`] — classic libpcap capture-file writer and one zero-copy
+//!   reader ([`pcap::PcapCursor`]) over in-memory bytes, so simulated
+//!   captures are byte-compatible with tcpdump output. Its lenient mode,
+//!   behind [`pcap::Capture::salvage`], resynchronizes past corrupt
+//!   records and torn tails instead of aborting; captures that are not
+//!   Ethernet are refused with a typed error.
 //! * [`flow`] — 5-tuple flow keys and per-flow payload reassembly, the unit
 //!   of the paper's destination and encryption analyses.
 //!
@@ -45,7 +47,7 @@ pub use flow::{Direction, Flow, FlowKey, FlowTable};
 pub use ipv4::Ipv4Header;
 pub use mac::MacAddr;
 pub use packet::{Frame, Packet, PacketBuilder, ParsedPacket, TransportHeader};
-pub use pcap::{Capture, PacketView, PcapCursor, PcapReader, PcapRecord, PcapWriter, SalvageStats};
+pub use pcap::{Capture, PacketView, PcapCursor, PcapWriter, SalvageStats};
 pub use tcp::{TcpFlags, TcpHeader};
 pub use udp::UdpHeader;
 

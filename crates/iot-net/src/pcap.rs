@@ -9,7 +9,7 @@
 use crate::error::Error;
 use crate::packet::Packet;
 use crate::Result;
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Native-order magic for microsecond timestamps.
 pub const MAGIC_MICROS: u32 = 0xa1b2_c3d4;
@@ -26,32 +26,8 @@ pub const RECORD_HEADER_LEN: usize = 16;
 /// out in February 2106.
 pub const MAX_TS_MICROS: u64 = u32::MAX as u64 * 1_000_000 + 999_999;
 
-/// One record from a capture file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PcapRecord {
-    /// Seconds since the epoch.
-    pub ts_sec: u32,
-    /// Microseconds within the second.
-    pub ts_usec: u32,
-    /// Original length of the packet on the wire.
-    pub orig_len: u32,
-    /// Captured bytes (always the full frame here; no snaplen truncation).
-    pub data: Vec<u8>,
-}
-
-impl PcapRecord {
-    /// Timestamp in microseconds since the epoch.
-    pub fn ts_micros(&self) -> u64 {
-        u64::from(self.ts_sec) * 1_000_000 + u64::from(self.ts_usec)
-    }
-
-    /// Converts this record into an in-memory [`Packet`].
-    pub fn into_packet(self) -> Packet {
-        Packet::new(self.ts_micros(), self.data)
-    }
-}
-
-/// Streaming pcap writer.
+/// Streaming pcap writer of raw records. Packets are written through
+/// [`Capture`], which checks their timestamps fit the format.
 pub struct PcapWriter<W: Write> {
     inner: W,
 }
@@ -70,26 +46,10 @@ impl<W: Write> PcapWriter<W> {
         Ok(PcapWriter { inner })
     }
 
-    /// Appends one packet. Fails with [`Error::TimestampOutOfRange`] for
-    /// timestamps the format's `u32` seconds field cannot hold (the old
-    /// `as u32` cast wrapped silently past 2106, which chaos clock-skew
-    /// can produce).
-    pub fn write_packet(&mut self, pkt: &Packet) -> Result<()> {
-        let (ts_sec, ts_usec) = split_ts(pkt.ts_micros)?;
-        self.write_raw(ts_sec, ts_usec, pkt.data.len() as u32, &pkt.data)
-    }
-
-    /// Appends one record verbatim, preserving an `orig_len` larger than
-    /// the captured data — how tcpdump writes snaplen-truncated records.
-    pub fn write_record(&mut self, rec: &PcapRecord) -> Result<()> {
-        self.write_raw(rec.ts_sec, rec.ts_usec, rec.orig_len, &rec.data)
-    }
-
-    /// Appends one record from its raw parts without requiring an owned
-    /// [`PcapRecord`] — the zero-copy counterpart of
-    /// [`PcapWriter::write_record`] for callers holding borrowed frame
-    /// bytes (fault injection re-serializing a capture it never
-    /// materialized).
+    /// Appends one record verbatim from its raw parts, preserving an
+    /// `orig_len` larger than the captured data — how tcpdump writes
+    /// snaplen-truncated records (fault injection re-serializes a
+    /// capture it never materialized through this).
     pub fn write_record_parts(
         &mut self,
         ts_sec: u32,
@@ -97,10 +57,6 @@ impl<W: Write> PcapWriter<W> {
         orig_len: u32,
         data: &[u8],
     ) -> Result<()> {
-        self.write_raw(ts_sec, ts_usec, orig_len, data)
-    }
-
-    fn write_raw(&mut self, ts_sec: u32, ts_usec: u32, orig_len: u32, data: &[u8]) -> Result<()> {
         let incl_len = data.len() as u32;
         let mut hdr = [0u8; RECORD_HEADER_LEN];
         hdr[0..4].copy_from_slice(&ts_sec.to_le_bytes());
@@ -128,129 +84,8 @@ fn split_ts(ts_micros: u64) -> Result<(u32, u32)> {
     Ok(((ts_micros / 1_000_000) as u32, (ts_micros % 1_000_000) as u32))
 }
 
-/// Streaming pcap reader; handles both endiannesses.
-pub struct PcapReader<R: Read> {
-    inner: R,
-    swapped: bool,
-    records_read: u64,
-}
-
-impl<R: Read> PcapReader<R> {
-    /// Reads and validates the global header.
-    pub fn new(mut inner: R) -> Result<Self> {
-        let mut hdr = [0u8; GLOBAL_HEADER_LEN];
-        inner.read_exact(&mut hdr)?;
-        let magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-        let swapped = match magic {
-            MAGIC_MICROS => false,
-            MAGIC_MICROS_SWAPPED => true,
-            other => return Err(Error::BadMagic(other)),
-        };
-        Ok(PcapReader {
-            inner,
-            swapped,
-            records_read: 0,
-        })
-    }
-
-    fn read_u32(&self, bytes: [u8; 4]) -> u32 {
-        if self.swapped {
-            u32::from_be_bytes(bytes)
-        } else {
-            u32::from_le_bytes(bytes)
-        }
-    }
-
-    /// Reads the next record; `Ok(None)` at clean end-of-file.
-    ///
-    /// Headers are checked against the same field-sanity rules the
-    /// lenient salvager uses ([`header_violation`]), so the strict and
-    /// lenient readers can never disagree about which records a capture
-    /// contains — they only differ in what happens on violation.
-    pub fn next_record(&mut self) -> Result<Option<PcapRecord>> {
-        let mut rec = [0u8; RECORD_HEADER_LEN];
-        // Read the header byte-wise so a clean EOF (zero bytes) is
-        // distinguishable from a torn one (1-15 bytes): `read_exact`
-        // reports both as UnexpectedEof.
-        let mut got = 0usize;
-        while got < RECORD_HEADER_LEN {
-            match self.inner.read(&mut rec[got..]) {
-                Ok(0) if got == 0 => return Ok(None),
-                Ok(0) => {
-                    return Err(Error::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        format!("pcap record header torn after {got} bytes"),
-                    )))
-                }
-                Ok(n) => got += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let ts_sec = self.read_u32([rec[0], rec[1], rec[2], rec[3]]);
-        let ts_usec = self.read_u32([rec[4], rec[5], rec[6], rec[7]]);
-        let incl_len = self.read_u32([rec[8], rec[9], rec[10], rec[11]]);
-        let orig_len = self.read_u32([rec[12], rec[13], rec[14], rec[15]]);
-        if let Some(what) = header_violation(ts_usec, incl_len, orig_len) {
-            return Err(Error::BadRecord {
-                record: self.records_read,
-                what,
-            });
-        }
-        // Read via `take` + `read_to_end` so a short read hits EOF instead
-        // of trusting incl_len with an up-front allocation.
-        let mut data = Vec::new();
-        (&mut self.inner)
-            .take(u64::from(incl_len))
-            .read_to_end(&mut data)?;
-        if data.len() < incl_len as usize {
-            return Err(Error::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                format!(
-                    "pcap record claims {incl_len} bytes but only {} remain",
-                    data.len()
-                ),
-            )));
-        }
-        self.records_read += 1;
-        Ok(Some(PcapRecord {
-            ts_sec,
-            ts_usec,
-            orig_len,
-            data,
-        }))
-    }
-
-    /// Collects all remaining records as [`Packet`]s.
-    pub fn packets(mut self) -> Result<Vec<Packet>> {
-        let mut out = Vec::new();
-        while let Some(rec) = self.next_record()? {
-            out.push(rec.into_packet());
-        }
-        Ok(out)
-    }
-
-    /// Collects all salvageable records as [`Packet`]s, resynchronizing
-    /// past corrupt record headers and torn tails instead of aborting.
-    ///
-    /// The strict [`PcapReader::packets`] has all-or-nothing semantics:
-    /// one garbled `incl_len` discards an entire device capture. This
-    /// reader buffers the remaining bytes and walks them with
-    /// [`salvage_records`], so a single bad record costs only the bytes
-    /// between it and the next plausible record header.
-    pub fn packets_lenient(mut self) -> Result<(Vec<Packet>, SalvageStats)> {
-        let mut buf = Vec::new();
-        self.inner.read_to_end(&mut buf)?;
-        let (records, stats) = salvage_records(&buf, self.swapped);
-        Ok((
-            records.into_iter().map(PcapRecord::into_packet).collect(),
-            stats,
-        ))
-    }
-}
-
-/// What the lenient reader recovered — and what it had to give up — from
-/// one degraded capture. Counts merge by addition across captures.
+/// What the lenient cursor recovered — and what it had to give up — from
+/// one degraded capture.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SalvageStats {
     /// Records recovered intact.
@@ -269,15 +104,6 @@ pub struct SalvageStats {
 }
 
 impl SalvageStats {
-    /// Folds another capture's salvage outcome into this one.
-    pub fn merge(&mut self, other: &SalvageStats) {
-        self.records_ok += other.records_ok;
-        self.records_truncated += other.records_truncated;
-        self.resyncs += other.resyncs;
-        self.bytes_skipped += other.bytes_skipped;
-        self.torn_tail_bytes += other.torn_tail_bytes;
-    }
-
     /// True when the capture was recovered without losing anything.
     pub fn is_pristine(&self) -> bool {
         self.resyncs == 0 && self.bytes_skipped == 0 && self.torn_tail_bytes == 0
@@ -296,12 +122,12 @@ const MAX_PLAUSIBLE_LEN: u32 = 256 * 1024;
 const MIN_PLAUSIBLE_LEN: u32 = 14;
 
 /// Field-sanity rules every record header must satisfy — the single
-/// validator shared by the strict reader, the cursor, and the lenient
-/// salvage classifier, so the two modes can never disagree about which
-/// headers are well-formed. Requires sub-second microseconds, frame
-/// lengths between an Ethernet header and [`MAX_PLAUSIBLE_LEN`], and
-/// `orig_len >= incl_len` (the writer guarantees it; tcpdump's snaplen
-/// semantics imply it). Returns the violated rule, or `None`.
+/// validator shared by the cursor's strict and lenient modes, so the two
+/// can never disagree about which headers are well-formed. Requires
+/// sub-second microseconds, frame lengths between an Ethernet header and
+/// [`MAX_PLAUSIBLE_LEN`], and `orig_len >= incl_len` (the writer
+/// guarantees it; tcpdump's snaplen semantics imply it). Returns the
+/// violated rule, or `None`.
 fn header_violation(ts_usec: u32, incl_len: u32, orig_len: u32) -> Option<&'static str> {
     if ts_usec >= 1_000_000 {
         return Some("ts_usec not sub-second");
@@ -337,14 +163,7 @@ fn classify_header(buf: &[u8], at: usize, swapped: bool) -> HeaderVerdict {
     if at + RECORD_HEADER_LEN > buf.len() {
         return HeaderVerdict::Corrupt("header extends past EOF");
     }
-    let field = |o: usize| {
-        let b = [buf[at + o], buf[at + o + 1], buf[at + o + 2], buf[at + o + 3]];
-        if swapped {
-            u32::from_be_bytes(b)
-        } else {
-            u32::from_le_bytes(b)
-        }
-    };
+    let field = |o: usize| read_u32(buf, at + o, swapped);
     let (ts_usec, incl_len, orig_len) = (field(4), field(8), field(12));
     if let Some(what) = header_violation(ts_usec, incl_len, orig_len) {
         return HeaderVerdict::Corrupt(what);
@@ -378,21 +197,23 @@ impl PacketView<'_> {
 /// Reading discipline for a [`PcapCursor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CursorMode {
-    /// Abort on the first framing violation (mirrors [`PcapReader`]).
+    /// Abort on the first framing violation.
     Strict,
     /// Resynchronize past corruption, accounting every lost byte in
-    /// [`SalvageStats`] (mirrors [`PcapReader::packets_lenient`]).
+    /// [`SalvageStats`].
     Lenient,
 }
 
-/// Zero-copy iterator over the records of an in-memory capture.
+/// Zero-copy iterator over the records of an in-memory capture — the
+/// crate's only pcap reader. Files are read to bytes first.
 ///
 /// Yields [`PacketView`]s borrowing directly from the byte range — the
 /// streaming ingest core walks captures packet-at-a-time through this
 /// cursor instead of materializing a `Vec<Packet>`. Both modes share
-/// [`header_violation`] with the streaming [`PcapReader`], so all four
-/// read paths agree on every clean capture (a property test enforces
-/// this).
+/// [`header_violation`], so they agree on every clean capture (a
+/// property test enforces this). Only classic microsecond Ethernet
+/// captures are read: any other magic or link type is refused with a
+/// typed error before a single record is framed.
 pub struct PcapCursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -421,12 +242,15 @@ impl<'a> PcapCursor<'a> {
                 "pcap buffer shorter than the global header",
             )));
         }
-        let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-        let swapped = match magic {
+        let swapped = match read_u32(bytes, 0, false) {
             MAGIC_MICROS => false,
             MAGIC_MICROS_SWAPPED => true,
             other => return Err(Error::BadMagic(other)),
         };
+        match read_u32(bytes, 20, swapped) {
+            LINKTYPE_ETHERNET => {}
+            other => return Err(Error::UnsupportedLinkType(other)),
+        }
         Ok(Self::over_records(
             &bytes[GLOBAL_HEADER_LEN..],
             swapped,
@@ -577,32 +401,18 @@ impl<'a> Iterator for PcapCursor<'a> {
 
 /// Reads the timestamp fields of the record header at `buf[at..]`.
 fn record_ts_micros(buf: &[u8], at: usize, swapped: bool) -> u64 {
-    let field = |o: usize| {
-        let b = [buf[at + o], buf[at + o + 1], buf[at + o + 2], buf[at + o + 3]];
-        if swapped {
-            u32::from_be_bytes(b)
-        } else {
-            u32::from_le_bytes(b)
-        }
-    };
-    u64::from(field(0)) * 1_000_000 + u64::from(field(4))
+    u64::from(read_u32(buf, at, swapped)) * 1_000_000 + u64::from(read_u32(buf, at + 4, swapped))
 }
 
-/// Walks a record region (everything after the global header), salvaging
-/// each plausible record via a lenient [`PcapCursor`].
-fn salvage_records(buf: &[u8], swapped: bool) -> (Vec<PcapRecord>, SalvageStats) {
-    let mut cur = PcapCursor::over_records(buf, swapped, CursorMode::Lenient);
-    let mut out = Vec::new();
-    while let Some(next) = cur.next_view() {
-        let view = next.expect("lenient cursor surfaces no errors");
-        out.push(PcapRecord {
-            ts_sec: (view.ts_micros / 1_000_000) as u32,
-            ts_usec: (view.ts_micros % 1_000_000) as u32,
-            orig_len: view.orig_len,
-            data: view.data.to_vec(),
-        });
+/// Reads the header field at `buf[at..at + 4]` in the capture's byte
+/// order (`swapped`: written on an opposite-endian machine).
+fn read_u32(buf: &[u8], at: usize, swapped: bool) -> u32 {
+    let b = [buf[at], buf[at + 1], buf[at + 2], buf[at + 3]];
+    if swapped {
+        u32::from_be_bytes(b)
+    } else {
+        u32::from_le_bytes(b)
     }
-    (out, cur.stats())
 }
 
 /// An owned, always-writer-clean capture: classic pcap bytes plus the
@@ -676,16 +486,11 @@ impl Capture {
         Ok(())
     }
 
-    /// Appends one packet.
-    pub fn push_packet(&mut self, pkt: &Packet) -> Result<()> {
-        self.push(pkt.ts_micros, &pkt.data)
-    }
-
     /// Serializes a packet slice (equivalent to [`to_bytes`]).
     pub fn from_packets(packets: &[Packet]) -> Result<Self> {
         let mut cap = Capture::new();
         for p in packets {
-            cap.push_packet(p)?;
+            cap.push(p.ts_micros, &p.data)?;
         }
         Ok(cap)
     }
@@ -734,15 +539,34 @@ impl Capture {
             .map(|v| v.expect("writer-clean capture").to_packet())
             .collect()
     }
+
+    /// Salvages a possibly-degraded capture file into a writer-clean
+    /// capture: every record the lenient cursor can frame is copied in,
+    /// and what had to be given up is counted in the returned
+    /// [`SalvageStats`]. Snaplen-truncated records keep only their
+    /// captured bytes. Fails only on an unreadable global header (short,
+    /// unknown magic, non-Ethernet link type): with no framing there is
+    /// nothing to salvage.
+    pub fn salvage(bytes: &[u8]) -> Result<(Capture, SalvageStats)> {
+        let mut cur = PcapCursor::lenient(bytes)?;
+        let mut cap = Capture::new();
+        // The salvaged capture is never larger than its input, so one
+        // reservation suffices.
+        cap.bytes.reserve_exact(bytes.len() - GLOBAL_HEADER_LEN);
+        while let Some(view) = cur.next_view() {
+            let view = view.expect("lenient cursor surfaces no errors");
+            cap.push(view.ts_micros, view.data)?;
+        }
+        Ok((cap, cur.stats()))
+    }
 }
 
-/// Serializes packets to an in-memory pcap byte buffer.
+/// Serializes packets to an in-memory pcap byte buffer. Fails with
+/// [`Error::TimestampOutOfRange`] for timestamps the format's `u32`
+/// seconds field cannot hold (an `as u32` cast would wrap silently past
+/// 2106, which chaos clock-skew can produce).
 pub fn to_bytes(packets: &[Packet]) -> Result<Vec<u8>> {
-    let mut w = PcapWriter::new(Vec::new())?;
-    for p in packets {
-        w.write_packet(p)?;
-    }
-    w.finish()
+    Capture::from_packets(packets).map(Capture::into_bytes)
 }
 
 /// Parses packets from an in-memory pcap byte buffer (strict cursor).
@@ -755,11 +579,12 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Vec<Packet>> {
 }
 
 /// Parses as many packets as can be salvaged from a possibly-degraded
-/// in-memory pcap buffer. Still fails on an unreadable global header
-/// (wrong magic / shorter than 24 bytes): with no known endianness there
-/// is no framing to resynchronize to.
+/// in-memory pcap buffer ([`Capture::salvage`], materialized). Still
+/// fails on an unreadable global header (wrong magic or link type,
+/// shorter than 24 bytes): with no known framing there is nothing to
+/// resynchronize to.
 pub fn from_bytes_lenient(bytes: &[u8]) -> Result<(Vec<Packet>, SalvageStats)> {
-    PcapReader::new(bytes)?.packets_lenient()
+    Capture::salvage(bytes).map(|(cap, stats)| (cap.to_packets(), stats))
 }
 
 #[cfg(test)]
@@ -800,11 +625,9 @@ mod tests {
         assert_eq!(u32::from_le_bytes(bytes[20..24].try_into().unwrap()), LINKTYPE_ETHERNET);
     }
 
-    #[test]
-    fn swapped_endianness_readable() {
-        let packets = sample_packets();
-        let mut bytes = to_bytes(&packets).unwrap();
-        // Byte-swap every header field to emulate a big-endian writer.
+    /// Byte-swaps every header field of a writer-clean capture, as a
+    /// big-endian writer would have laid it out.
+    fn big_endian(mut bytes: Vec<u8>) -> Vec<u8> {
         bytes[0..4].copy_from_slice(&MAGIC_MICROS.to_be_bytes());
         for field in [4usize, 6] {
             bytes.swap(field, field + 1);
@@ -820,8 +643,42 @@ mod tests {
             let incl = u32::from_be_bytes(bytes[offset + 8..offset + 12].try_into().unwrap());
             offset += RECORD_HEADER_LEN + incl as usize;
         }
+        bytes
+    }
+
+    #[test]
+    fn swapped_endianness_readable() {
+        let packets = sample_packets();
+        let bytes = big_endian(to_bytes(&packets).unwrap());
         let back = from_bytes(&bytes).unwrap();
         assert_eq!(back, packets);
+    }
+
+    /// Every read path refuses a capture whose link type is not Ethernet,
+    /// in either byte order, instead of framing its records as Ethernet.
+    #[test]
+    fn non_ethernet_link_types_are_refused() {
+        const LINKTYPE_RAW: u32 = 101;
+        const LINKTYPE_LINUX_SLL: u32 = 113;
+        for link_type in [LINKTYPE_RAW, LINKTYPE_LINUX_SLL] {
+            let mut le = to_bytes(&sample_packets()).unwrap();
+            le[20..24].copy_from_slice(&link_type.to_le_bytes());
+            let mut be = big_endian(to_bytes(&sample_packets()).unwrap());
+            be[20..24].copy_from_slice(&link_type.to_be_bytes());
+            for bytes in [&le, &be] {
+                let refused = |r: Result<()>| {
+                    assert!(
+                        matches!(r, Err(Error::UnsupportedLinkType(t)) if t == link_type),
+                        "link type {link_type} must be refused, got {r:?}"
+                    )
+                };
+                refused(PcapCursor::strict(bytes).map(drop));
+                refused(PcapCursor::lenient(bytes).map(drop));
+                refused(from_bytes(bytes).map(drop));
+                refused(from_bytes_lenient(bytes).map(drop));
+                refused(Capture::salvage(bytes).map(drop));
+            }
+        }
     }
 
     #[test]
@@ -884,19 +741,19 @@ mod tests {
         let packets = sample_packets();
         let mut w = PcapWriter::new(Vec::new()).unwrap();
         for p in &packets {
-            w.write_record(&PcapRecord {
-                ts_sec: (p.ts_micros / 1_000_000) as u32,
-                ts_usec: (p.ts_micros % 1_000_000) as u32,
-                orig_len: p.data.len() as u32 + 40, // snaplen cut 40 bytes
-                data: p.data.clone(),
-            })
-            .unwrap();
+            let (ts_sec, ts_usec) = split_ts(p.ts_micros).unwrap();
+            // snaplen cut 40 bytes
+            w.write_record_parts(ts_sec, ts_usec, p.data.len() as u32 + 40, &p.data)
+                .unwrap();
         }
         let bytes = w.finish().unwrap();
         let (back, stats) = from_bytes_lenient(&bytes).unwrap();
         assert_eq!(back.len(), packets.len());
         assert_eq!(stats.records_truncated, packets.len() as u64);
         assert!(stats.is_pristine());
+        // Salvage keeps the captured bytes of each truncated record.
+        let cap = Capture::salvage(&bytes).unwrap().0;
+        assert_eq!(cap, Capture::from_packets(&packets).unwrap());
     }
 
     #[test]
@@ -944,7 +801,7 @@ mod tests {
     /// violates the writer invariant (tcpdump snaplen semantics imply
     /// `orig_len >= incl_len`); `classify_header` has always rejected it,
     /// but the strict reader used to accept it, so the same bytes yielded
-    /// different packet sets under `packets()` vs `packets_lenient()`.
+    /// different packet sets in strict and lenient mode.
     #[test]
     fn strict_rejects_incl_len_exceeding_orig_len() {
         let packets = sample_packets();
@@ -1004,36 +861,35 @@ mod tests {
     #[test]
     fn writer_rejects_wrapping_timestamp() {
         let over = (u32::MAX as u64 + 1) * 1_000_000;
-        let pkt = Packet::new(over, vec![0xAAu8; 64]);
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        let res = w.write_packet(&pkt);
+        let res = to_bytes(&[Packet::new(over, vec![0xAAu8; 64])]);
         assert!(
             matches!(res, Err(Error::TimestampOutOfRange { .. })),
             "ts past 2106 must be a typed error, got {res:?}"
         );
         // The largest representable timestamp still round-trips exactly.
         let max = MAX_TS_MICROS;
-        let pkt = Packet::new(max, vec![0xAAu8; 64]);
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_packet(&pkt).unwrap();
-        let back = from_bytes(&w.finish().unwrap()).unwrap();
-        assert_eq!(back[0].ts_micros, max);
+        let bytes = to_bytes(&[Packet::new(max, vec![0xAAu8; 64])]).unwrap();
+        assert_eq!(from_bytes(&bytes).unwrap()[0].ts_micros, max);
     }
 
     #[test]
     fn capture_bytes_match_writer_and_roundtrip() {
         let packets = sample_packets();
         let cap = Capture::from_packets(&packets).unwrap();
-        assert_eq!(cap.as_bytes(), &to_bytes(&packets).unwrap()[..]);
+        // Capture::push frames records exactly as the raw-record writer
+        // (which writes an orig_len of 0 as the captured length).
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        for p in &packets {
+            let (ts_sec, ts_usec) = split_ts(p.ts_micros).unwrap();
+            w.write_record_parts(ts_sec, ts_usec, 0, &p.data).unwrap();
+        }
+        assert_eq!(cap.as_bytes(), &w.finish().unwrap()[..]);
         assert_eq!(cap.record_count(), packets.len());
         assert_eq!(
             cap.frame_bytes(),
             packets.iter().map(|p| p.data.len() as u64).sum::<u64>()
         );
         assert_eq!(cap.to_packets(), packets);
-        // Views borrow; no divergence from the materializing reader.
-        let via_views: Vec<Packet> = cap.views().map(|v| v.unwrap().to_packet()).collect();
-        assert_eq!(via_views, packets);
         assert!(Capture::new().is_empty());
     }
 
@@ -1060,35 +916,22 @@ mod tests {
     }
 
     #[test]
-    fn cursor_strict_matches_reader_on_clean_and_torn_input() {
-        let packets = sample_packets();
-        let bytes = to_bytes(&packets).unwrap();
-        let views: Vec<Packet> = PcapCursor::strict(&bytes)
-            .unwrap()
-            .map(|v| v.unwrap().to_packet())
-            .collect();
-        assert_eq!(views, packets);
-        // Torn data: both the cursor and the reader must error.
-        let cut = &bytes[..bytes.len() - 2];
-        let strict_err = PcapCursor::strict(cut).unwrap().last().unwrap();
-        assert!(strict_err.is_err());
-        assert!(from_bytes(cut).is_err());
-    }
-
-    #[test]
-    fn cursor_lenient_stats_match_salvage_reader() {
+    fn salvage_rebuilds_a_writer_clean_capture() {
         let packets = sample_packets();
         let mut bytes = to_bytes(&packets).unwrap();
         let second = GLOBAL_HEADER_LEN + RECORD_HEADER_LEN + packets[0].data.len();
         bytes[second + 8..second + 12].copy_from_slice(&0xfeed_beefu32.to_le_bytes());
-        let (expect_pkts, expect_stats) = from_bytes_lenient(&bytes).unwrap();
-        let mut cur = PcapCursor::lenient(&bytes).unwrap();
-        let mut got = Vec::new();
-        while let Some(v) = cur.next_view() {
-            got.push(v.unwrap().to_packet());
-        }
-        assert_eq!(got, expect_pkts);
-        assert_eq!(cur.stats(), expect_stats);
+        let (cap, stats) = Capture::salvage(&bytes).unwrap();
+        // The corrupt record is gone; the survivors are re-framed exactly
+        // as the writer frames them, and the walk's ledger comes along.
+        let survivors = [packets[0].clone(), packets[2].clone()];
+        assert_eq!(cap, Capture::from_packets(&survivors).unwrap());
+        assert_eq!((stats.records_ok, stats.resyncs), (2, 1));
+        // A clean capture salvages to itself.
+        let clean = Capture::from_packets(&packets).unwrap();
+        let (same, pristine) = Capture::salvage(clean.as_bytes()).unwrap();
+        assert_eq!(same, clean);
+        assert!(pristine.is_pristine());
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Seeded fuzz tests for frame and capture-file decoding: random bytes,
 //! truncated prefixes, and bit-flipped variants of valid encodings must
-//! never panic `Packet::parse`, `Packet::parse_frame`, or the pcap
-//! readers. The lenient reader additionally must uphold its salvage
-//! accounting (`records_ok` consistency) on arbitrary input.
+//! never panic `Packet::parse`, `Packet::parse_frame`, the pcap cursor
+//! in either mode, or `Capture::salvage`. The lenient walk additionally
+//! must uphold its salvage accounting (`records_ok` consistency) on
+//! arbitrary input.
 
 use iot_core::rng::StdRng;
 use iot_net::pcap::{
-    from_bytes, from_bytes_lenient, PcapCursor, PcapWriter, GLOBAL_HEADER_LEN, RECORD_HEADER_LEN,
+    from_bytes_lenient, to_bytes, Capture, PcapCursor, GLOBAL_HEADER_LEN, RECORD_HEADER_LEN,
 };
 use iot_net::{MacAddr, Packet, PacketBuilder, TcpFlags};
 use std::net::Ipv4Addr;
@@ -77,25 +78,17 @@ fn frame_parse_never_panics() {
 #[test]
 fn pcap_readers_never_panic() {
     // A valid two-record capture to truncate and corrupt.
-    let mut writer = PcapWriter::new(Vec::new()).expect("header");
-    for frame in valid_frames() {
-        writer.write_packet(&frame).expect("write");
-    }
-    let valid = writer.finish().expect("finish");
+    let valid = to_bytes(&valid_frames()).expect("write");
 
     let mut rng = StdRng::seed_from_u64(0x9CA9);
     for case in 0..CASES {
         let buf = random_bytes(&mut rng, 800);
         assert_no_panic("pcap/random", case, || {
-            let _ = from_bytes(&buf);
-            let _ = from_bytes_lenient(&buf);
             exhaust_cursors(&buf);
         });
     }
     for cut in 0..valid.len() {
         assert_no_panic("pcap/truncated", cut, || {
-            let _ = from_bytes(&valid[..cut]);
-            let _ = from_bytes_lenient(&valid[..cut]);
             exhaust_cursors(&valid[..cut]);
         });
     }
@@ -105,8 +98,6 @@ fn pcap_readers_never_panic() {
         let bit = flip_rng.gen_range(0..buf.len() * 8);
         buf[bit / 8] ^= 1 << (bit % 8);
         assert_no_panic("pcap/bitflip", case, || {
-            let _ = from_bytes(&buf);
-            let _ = from_bytes_lenient(&buf);
             exhaust_cursors(&buf);
         });
     }
@@ -123,46 +114,49 @@ fn exhaust_cursors(buf: &[u8]) {
             view.expect("lenient cursor surfaces no errors");
         }
     }
+    let _ = Capture::salvage(buf);
 }
 
 #[test]
 fn lenient_reader_accounting_holds_on_garbage() {
-    // On any input the lenient reader accepts, every salvaged packet must
+    // On any record region the lenient walk reads, every salvaged packet must
     // be a counted intact record, resyncs imply skipped bytes, skipped
     // bytes imply an accounted cause (a resync or a torn tail), and the
     // ledger must conserve every byte of the record region.
     let mut rng = StdRng::seed_from_u64(0x5A1A6E);
     for case in 0..CASES {
-        let buf = random_bytes(&mut rng, 2048);
-        if let Ok((packets, stats)) = from_bytes_lenient(&buf) {
-            assert_eq!(
-                packets.len() as u64,
-                stats.records_ok,
-                "case {case}: salvaged {} packets but records_ok {}",
-                packets.len(),
-                stats.records_ok
-            );
-            if stats.resyncs > 0 {
-                assert!(
-                    stats.bytes_skipped > 0,
-                    "case {case}: resynced without skipping bytes"
-                );
-            }
-            if stats.bytes_skipped > 0 {
-                assert!(
-                    stats.resyncs > 0 || stats.torn_tail_bytes > 0,
-                    "case {case}: skipped bytes with no accounted cause: {stats:?}"
-                );
-            }
-            let consumed: u64 = packets
-                .iter()
-                .map(|p| (RECORD_HEADER_LEN + p.data.len()) as u64)
-                .sum();
-            assert_eq!(
-                consumed + stats.bytes_skipped + stats.torn_tail_bytes,
-                (buf.len() - GLOBAL_HEADER_LEN) as u64,
-                "case {case}: salvage ledger does not conserve bytes: {stats:?}"
+        // Behind a valid global header, so the garbage reaches the record
+        // walk: a random magic or link type is refused before any of it.
+        let mut buf = to_bytes(&[]).expect("header");
+        buf.extend(random_bytes(&mut rng, 2048));
+        let (packets, stats) = from_bytes_lenient(&buf).expect("a valid header salvages");
+        assert_eq!(
+            packets.len() as u64,
+            stats.records_ok,
+            "case {case}: salvaged {} packets but records_ok {}",
+            packets.len(),
+            stats.records_ok
+        );
+        if stats.resyncs > 0 {
+            assert!(
+                stats.bytes_skipped > 0,
+                "case {case}: resynced without skipping bytes"
             );
         }
+        if stats.bytes_skipped > 0 {
+            assert!(
+                stats.resyncs > 0 || stats.torn_tail_bytes > 0,
+                "case {case}: skipped bytes with no accounted cause: {stats:?}"
+            );
+        }
+        let consumed: u64 = packets
+            .iter()
+            .map(|p| (RECORD_HEADER_LEN + p.data.len()) as u64)
+            .sum();
+        assert_eq!(
+            consumed + stats.bytes_skipped + stats.torn_tail_bytes,
+            (buf.len() - GLOBAL_HEADER_LEN) as u64,
+            "case {case}: salvage ledger does not conserve bytes: {stats:?}"
+        );
     }
 }

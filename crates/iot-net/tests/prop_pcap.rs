@@ -1,12 +1,13 @@
-//! Seeded property tests for the four pcap read paths: the strict and
-//! lenient streaming readers and the strict and lenient zero-copy
-//! cursors must agree byte-for-byte on every clean capture, and the
-//! cursors must equal the materializing readers (packets *and* salvage
-//! stats) on degraded input too.
+//! Seeded property tests for the pcap read paths, all walks of the one
+//! `PcapCursor`: strict reads and salvage must reproduce every clean
+//! capture byte-for-byte, salvage must account for every byte of a
+//! degraded one, and every link type other than Ethernet must be refused.
 
 use iot_core::rng::StdRng;
-use iot_net::pcap::{from_bytes, from_bytes_lenient, to_bytes, Capture, PcapCursor};
-use iot_net::{MacAddr, Packet, PacketBuilder, TcpFlags};
+use iot_net::pcap::{
+    from_bytes, to_bytes, Capture, PcapCursor, PcapWriter, GLOBAL_HEADER_LEN, LINKTYPE_ETHERNET,
+};
+use iot_net::{Error, MacAddr, Packet, PacketBuilder, TcpFlags};
 use std::net::Ipv4Addr;
 
 const CASES: usize = 64;
@@ -43,39 +44,49 @@ fn random_packets(rng: &mut StdRng) -> Vec<Packet> {
     out
 }
 
-fn cursor_packets(cur: PcapCursor<'_>) -> Vec<Packet> {
-    cur.map(|v| v.expect("clean capture").to_packet()).collect()
-}
-
 #[test]
 fn all_read_paths_agree_on_clean_captures() {
     let mut rng = StdRng::seed_from_u64(0xC1EA7);
     for case in 0..CASES {
         let packets = random_packets(&mut rng);
-        let bytes = to_bytes(&packets).unwrap();
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        for p in &packets {
+            let (sec, usec) = (p.ts_micros / 1_000_000, p.ts_micros % 1_000_000);
+            // An orig_len of 0 is written as the captured length.
+            w.write_record_parts(sec as u32, usec as u32, 0, &p.data).unwrap();
+        }
+        let bytes = w.finish().unwrap();
 
-        // Capture::push writes the identical byte stream.
+        // Capture::push writes the raw-record writer's byte stream.
         let cap = Capture::from_packets(&packets).unwrap();
         assert_eq!(cap.as_bytes(), &bytes[..], "case {case}: capture bytes differ");
         assert_eq!(cap.record_count(), packets.len());
 
-        // Strict reader == strict cursor == lenient reader == lenient
-        // cursor == the original packets, byte for byte.
+        // Strict read == lenient salvage == the original packets, byte for
+        // byte.
         let strict = from_bytes(&bytes).unwrap();
-        let (lenient, stats) = from_bytes_lenient(&bytes).unwrap();
-        let cur_strict = cursor_packets(PcapCursor::strict(&bytes).unwrap());
-        let cur_lenient = cursor_packets(PcapCursor::lenient(&bytes).unwrap());
-        assert_eq!(strict, packets, "case {case}: strict reader diverged");
-        assert_eq!(lenient, packets, "case {case}: lenient reader diverged");
-        assert_eq!(cur_strict, packets, "case {case}: strict cursor diverged");
-        assert_eq!(cur_lenient, packets, "case {case}: lenient cursor diverged");
+        let (salvaged, stats) = Capture::salvage(&bytes).unwrap();
+        assert_eq!(strict, packets, "case {case}: strict read diverged");
+        assert_eq!(salvaged, cap, "case {case}: salvage diverged");
         assert!(stats.is_pristine(), "case {case}: clean capture not pristine");
         assert_eq!(cap.to_packets(), packets, "case {case}: capture views diverged");
+
+        // Any other link type, in the capture's own byte order, is refused.
+        let link_type = LINKTYPE_ETHERNET + rng.gen_range(1..300) as u32;
+        let mut other = bytes.clone();
+        other[20..24].copy_from_slice(&link_type.to_le_bytes());
+        let strict = PcapCursor::strict(&other).err();
+        for refused in [strict, PcapCursor::lenient(&other).err()] {
+            assert!(
+                matches!(refused, Some(Error::UnsupportedLinkType(t)) if t == link_type),
+                "case {case}: link type {link_type} read as Ethernet"
+            );
+        }
     }
 }
 
 #[test]
-fn lenient_cursor_matches_lenient_reader_on_degraded_captures() {
+fn salvage_accounts_for_every_byte_of_degraded_captures() {
     let mut rng = StdRng::seed_from_u64(0xDE64AD);
     for case in 0..CASES {
         let packets = random_packets(&mut rng);
@@ -106,13 +117,15 @@ fn lenient_cursor_matches_lenient_reader_on_degraded_captures() {
                 }
             }
         }
-        let (expect_pkts, expect_stats) = from_bytes_lenient(&bytes).unwrap();
-        let mut cur = PcapCursor::lenient(&bytes).unwrap();
-        let mut got = Vec::new();
-        while let Some(v) = cur.next_view() {
-            got.push(v.unwrap().to_packet());
-        }
-        assert_eq!(got, expect_pkts, "case {case}: packets diverged");
-        assert_eq!(cur.stats(), expect_stats, "case {case}: stats diverged");
+        let (salvaged, stats) = Capture::salvage(&bytes).unwrap();
+        let kept_records = salvaged.record_count() as u64;
+        assert_eq!(stats.records_ok, kept_records, "case {case}");
+        // Salvage re-frames each kept record exactly as it was framed.
+        let kept = (salvaged.byte_len() - GLOBAL_HEADER_LEN) as u64;
+        assert_eq!(
+            kept + stats.bytes_skipped + stats.torn_tail_bytes,
+            (bytes.len() - GLOBAL_HEADER_LEN) as u64,
+            "case {case}: salvage ledger does not conserve bytes: {stats:?}"
+        );
     }
 }

@@ -17,11 +17,10 @@
 
 use crate::experiment::LabeledExperiment;
 use crate::lab::LabSite;
-use iot_net::packet::Packet;
-use iot_net::pcap::{PcapReader, PcapWriter, SalvageStats};
+use iot_net::pcap::{Capture, SalvageStats};
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// One label row: a time range of the device's capture tagged with the
@@ -42,8 +41,8 @@ pub struct LabelSpan {
 /// layout.
 #[derive(Debug, Default)]
 pub struct CaptureStore {
-    /// (lab, device-id) → time-ordered packets.
-    packets: BTreeMap<(LabSite, String), Vec<Packet>>,
+    /// (lab, device-id) → the device's time-ordered capture.
+    captures: BTreeMap<(LabSite, String), Capture>,
     /// (lab, device-id) → labels.
     labels: BTreeMap<(LabSite, String), Vec<LabelSpan>>,
     /// Running clock per device so consecutive experiments do not overlap.
@@ -61,54 +60,46 @@ impl CaptureStore {
 
     /// Appends one experiment's capture, shifting its timestamps onto the
     /// device's running clock (experiments are generated starting at t≈0).
-    pub fn append(&mut self, exp: &LabeledExperiment) {
+    /// Fails with [`iot_net::Error::TimestampOutOfRange`] when a shifted
+    /// timestamp no longer fits the pcap format; the frames before it
+    /// stay appended and no label is recorded.
+    pub fn append(&mut self, exp: &LabeledExperiment) -> iot_net::Result<()> {
         let device_id = crate::catalog::by_name(exp.device_name)
             .map(|s| s.id())
             .unwrap_or_else(|| exp.device_name.to_ascii_lowercase());
         let key = (exp.site, device_id);
         let base = *self.clock.get(&key).unwrap_or(&0);
+        let capture = self.captures.entry(key.clone()).or_default();
+        let mut first = None;
         let mut end = base;
-        let shifted: Vec<Packet> = exp
-            .capture
-            .views()
-            .map(|v| {
-                let v = v.expect("generated captures are well formed");
-                let ts = base + v.ts_micros;
-                end = end.max(ts);
-                Packet::new(ts, v.data.to_vec())
-            })
-            .collect();
-        if let Some(first) = shifted.first() {
+        for v in exp.capture.views() {
+            let v = v.expect("generated captures are well formed");
+            let ts = base + v.ts_micros;
+            capture.push(ts, v.data)?;
+            first.get_or_insert(ts);
+            end = end.max(ts);
+        }
+        if let Some(start_micros) = first {
             self.labels.entry(key.clone()).or_default().push(LabelSpan {
-                start_micros: first.ts_micros,
+                start_micros,
                 end_micros: end,
                 label: exp.label.clone(),
                 rep: exp.rep,
             });
         }
-        self.packets.entry(key.clone()).or_default().extend(shifted);
         self.clock.insert(key, end + EXPERIMENT_GAP);
-    }
-
-    /// Devices stored, as (lab, device-id) pairs.
-    pub fn devices(&self) -> impl Iterator<Item = &(LabSite, String)> {
-        self.packets.keys()
+        Ok(())
     }
 
     /// Writes the Mon(IoT)r-style directory under `root`; returns the
     /// paths written.
     pub fn write_to(&self, root: &Path) -> std::io::Result<Vec<PathBuf>> {
         let mut written = Vec::new();
-        for ((site, device_id), packets) in &self.packets {
+        for ((site, device_id), capture) in &self.captures {
             let dir = root.join(site.name().to_lowercase()).join(device_id);
             std::fs::create_dir_all(&dir)?;
             let pcap_path = dir.join("capture.pcap");
-            let mut writer = PcapWriter::new(BufWriter::new(File::create(&pcap_path)?))
-                .map_err(io_err)?;
-            for p in packets {
-                writer.write_packet(p).map_err(io_err)?;
-            }
-            writer.finish().map_err(io_err)?.flush()?;
+            std::fs::write(&pcap_path, capture.as_bytes())?;
             written.push(pcap_path);
 
             let labels_path = dir.join("labels.tsv");
@@ -128,93 +119,73 @@ impl CaptureStore {
     }
 }
 
-fn io_err(e: iot_net::Error) -> std::io::Error {
-    std::io::Error::other(e.to_string())
-}
-
-/// Reads a device directory back into (packets, labels, salvage stats).
+/// Reads a device directory back into (capture, labels, salvage stats).
 ///
-/// The pcap is read through the lenient salvage path: a capture with a
-/// torn tail or corrupt record headers — routine for a tcpdump that ran
-/// unattended for months — yields every record that can still be framed
-/// instead of discarding the whole device directory. `stats.is_pristine()`
-/// tells callers whether anything was actually lost.
-pub fn read_device_dir(
-    dir: &Path,
-) -> std::io::Result<(Vec<Packet>, Vec<LabelSpan>, SalvageStats)> {
-    let reader =
-        PcapReader::new(BufReader::new(File::open(dir.join("capture.pcap"))?)).map_err(io_err)?;
-    let (packets, stats) = reader.packets_lenient().map_err(io_err)?;
+/// The pcap is read to bytes and salvaged ([`Capture::salvage`]): a
+/// capture with a torn tail or corrupt record headers — routine for a
+/// tcpdump that ran unattended for months — yields every record that can
+/// still be framed instead of discarding the whole device directory.
+/// `stats.is_pristine()` tells callers whether anything was actually
+/// lost. A capture that cannot be framed at all (unknown magic,
+/// non-Ethernet link type) fails with the typed [`iot_net::Error`] as the
+/// I/O error's inner error, as does a label row that does not parse.
+pub fn read_device_dir(dir: &Path) -> std::io::Result<(Capture, Vec<LabelSpan>, SalvageStats)> {
+    let bytes = std::fs::read(dir.join("capture.pcap"))?;
+    let (capture, stats) = Capture::salvage(&bytes).map_err(std::io::Error::other)?;
     let mut labels = Vec::new();
-    let f = BufReader::new(File::open(dir.join("labels.tsv"))?);
-    for line in f.lines() {
-        let line = line?;
+    let text = std::fs::read_to_string(dir.join("labels.tsv"))?;
+    for (n, line) in text.lines().enumerate() {
         if line.starts_with('#') || line.trim().is_empty() {
             continue;
         }
+        let bad_row =
+            || std::io::Error::other(format!("labels.tsv line {}: bad label row {line:?}", n + 1));
         let mut cols = line.split('\t');
-        let parse = |s: Option<&str>| -> std::io::Result<u64> {
-            s.and_then(|v| v.parse().ok())
-                .ok_or_else(|| std::io::Error::other(format!("bad label row: {line:?}")))
+        let (Some(start), Some(end), Some(label), Some(rep)) =
+            (cols.next(), cols.next(), cols.next(), cols.next())
+        else {
+            return Err(bad_row());
         };
-        let start_micros = parse(cols.next())?;
-        let end_micros = parse(cols.next())?;
-        let label = cols
-            .next()
-            .ok_or_else(|| std::io::Error::other("missing label"))?
-            .to_string();
-        let rep = parse(cols.next())? as u32;
         labels.push(LabelSpan {
-            start_micros,
-            end_micros,
-            label,
-            rep,
+            start_micros: start.parse().map_err(|_| bad_row())?,
+            end_micros: end.parse().map_err(|_| bad_row())?,
+            label: label.to_string(),
+            rep: rep.parse().map_err(|_| bad_row())?,
         });
     }
-    Ok((packets, labels, stats))
+    Ok((capture, labels, stats))
 }
 
 /// Slices a capture by a label span (inclusive bounds), the read-side
 /// counterpart of the testbed's label isolation.
 ///
-/// Returns the contiguous hull of in-span packets: everything from the
-/// first to the last packet whose timestamp lies in the span. On a
-/// monotonic capture this is exactly the binary-search window the old
-/// implementation computed; on a degraded capture (fault-injected or
-/// real clock skew leaving timestamps non-monotonic, where binary
-/// search silently returns wrong — even inverted — bounds) the hull may
-/// also include out-of-span packets trapped between in-span ones, which
-/// is the right salvage semantics for a mildly skewed clock (use
-/// [`filter_by_label`] for an exact timestamp filter). Inverted or
-/// fully out-of-range spans yield an empty slice — never a panic. The
-/// scan is O(n): correctness on damaged inputs is worth more here than
-/// a logarithm in a read-side inspection path.
-pub fn slice_by_label<'a>(packets: &'a [Packet], span: &LabelSpan) -> &'a [Packet] {
-    if span.end_micros < span.start_micros || packets.is_empty() {
-        return &packets[..0];
-    }
-    let in_span =
-        |p: &Packet| p.ts_micros >= span.start_micros && p.ts_micros <= span.end_micros;
-    match packets.iter().position(in_span) {
-        Some(first) => {
-            let last = packets.iter().rposition(in_span).expect("position found one");
-            &packets[first..=last]
+/// Returns the contiguous hull of in-span records: everything from the
+/// first to the last record whose timestamp lies in the span. On a
+/// monotonic capture this is exactly the span's window; on a degraded
+/// capture (fault-injected or real clock skew leaving timestamps
+/// non-monotonic, where a binary search silently returns wrong — even
+/// inverted — bounds) the hull may also include out-of-span records
+/// trapped between in-span ones, which is the right salvage semantics
+/// for a mildly skewed clock. Inverted or fully out-of-range spans yield
+/// an empty capture — never a panic. The scan is O(n): correctness on
+/// damaged inputs is worth more here than a logarithm in a read-side
+/// inspection path.
+pub fn slice_by_label(capture: &Capture, span: &LabelSpan) -> Capture {
+    let views = || capture.views().map(|v| v.expect("writer-clean capture"));
+    let mut hull: Option<(usize, usize)> = None;
+    for (i, v) in views().enumerate() {
+        if v.ts_micros >= span.start_micros && v.ts_micros <= span.end_micros {
+            hull = Some((hull.map_or(i, |(first, _)| first), i));
         }
-        None => &packets[..0],
     }
-}
-
-/// Exact timestamp filter: every packet whose timestamp lies in the span,
-/// regardless of capture order. The precise counterpart of
-/// [`slice_by_label`]'s contiguous hull for skewed captures.
-pub fn filter_by_label<'a>(packets: &'a [Packet], span: &LabelSpan) -> Vec<&'a Packet> {
-    if span.end_micros < span.start_micros {
-        return Vec::new();
+    let mut out = Capture::new();
+    if let Some((first, last)) = hull {
+        for v in views().skip(first).take(last - first + 1) {
+            out.push(v.ts_micros, v.data)
+                .expect("timestamps read from a capture fit one");
+        }
     }
-    packets
-        .iter()
-        .filter(|p| p.ts_micros >= span.start_micros && p.ts_micros <= span.end_micros)
-        .collect()
+    out
 }
 
 #[cfg(test)]
@@ -223,6 +194,7 @@ mod tests {
     use crate::experiment::{run_interaction, run_power};
     use crate::lab::Lab;
     use iot_geodb::registry::GeoDb;
+    use iot_net::packet::Packet;
 
     fn store_with_experiments() -> (CaptureStore, Vec<LabeledExperiment>) {
         let db = GeoDb::new();
@@ -235,16 +207,24 @@ mod tests {
         exps.push(run_interaction(&db, dev, act, act.methods[0], false, 0, 0));
         exps.push(run_interaction(&db, dev, act, act.methods[0], false, 1, 0));
         for e in &exps {
-            store.append(e);
+            store.append(e).unwrap();
         }
         (store, exps)
+    }
+
+    /// A fresh scratch directory for one test.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("intl-iot-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn append_shifts_clock_monotonically() {
         let (store, exps) = store_with_experiments();
         let key = (LabSite::Us, "tp-link-plug".to_string());
-        let packets = &store.packets[&key];
+        let packets = store.captures[&key].to_packets();
         for w in packets.windows(2) {
             assert!(w[0].ts_micros <= w[1].ts_micros);
         }
@@ -264,21 +244,21 @@ mod tests {
     #[test]
     fn disk_roundtrip_and_label_slicing() {
         let (store, exps) = store_with_experiments();
-        let dir = std::env::temp_dir().join(format!("intl-iot-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("test");
         let written = store.write_to(&dir).unwrap();
         assert_eq!(written.len(), 2, "pcap + labels for one device");
 
         let device_dir = dir.join("us").join("tp-link-plug");
-        let (packets, labels, salvage) = read_device_dir(&device_dir).unwrap();
+        let (capture, labels, salvage) = read_device_dir(&device_dir).unwrap();
         assert!(salvage.is_pristine(), "{salvage:?}");
+        assert_eq!(&capture, store.captures.values().next().unwrap());
         assert_eq!(labels.len(), 3);
         // Each label slice contains exactly its experiment's packets.
         for (span, exp) in labels.iter().zip(&exps) {
-            let slice = slice_by_label(&packets, span);
-            assert_eq!(slice.len(), exp.packet_count() as usize, "{}", span.label);
+            let slice = slice_by_label(&capture, span);
+            assert_eq!(slice.record_count(), exp.packet_count(), "{}", span.label);
             // Payload bytes survive the disk round-trip.
-            assert_eq!(slice[0].data, exp.packets()[0].data);
+            assert_eq!(slice.to_packets()[0].data, exp.packets()[0].data);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -287,14 +267,13 @@ mod tests {
     fn slice_bounds() {
         let (store, _) = store_with_experiments();
         let key = (LabSite::Us, "tp-link-plug".to_string());
-        let packets = &store.packets[&key];
         let empty = LabelSpan {
             start_micros: u64::MAX - 1,
             end_micros: u64::MAX,
             label: "none".into(),
             rep: 0,
         };
-        assert!(slice_by_label(packets, &empty).is_empty());
+        assert!(slice_by_label(&store.captures[&key], &empty).is_empty());
     }
 
     fn span(start: u64, end: u64) -> LabelSpan {
@@ -306,15 +285,18 @@ mod tests {
         }
     }
 
-    fn pkts(ts: &[u64]) -> Vec<Packet> {
-        ts.iter().map(|&t| Packet::new(t, vec![0u8; 8])).collect()
+    fn cap(ts: &[u64]) -> Capture {
+        let packets: Vec<Packet> = ts.iter().map(|&t| Packet::new(t, vec![0u8; 14])).collect();
+        Capture::from_packets(&packets).unwrap()
+    }
+
+    fn stamps(capture: &Capture) -> Vec<u64> {
+        capture.views().map(|v| v.unwrap().ts_micros).collect()
     }
 
     #[test]
     fn slice_tolerates_inverted_span() {
-        let packets = pkts(&[10, 20, 30]);
-        assert!(slice_by_label(&packets, &span(30, 10)).is_empty());
-        assert!(filter_by_label(&packets, &span(30, 10)).is_empty());
+        assert!(slice_by_label(&cap(&[10, 20, 30]), &span(30, 10)).is_empty());
     }
 
     #[test]
@@ -322,64 +304,100 @@ mod tests {
         // A clock-skewed capture: packet 25 regressed behind 40. Binary
         // search over this order is meaningless; the hull fallback must
         // still find the in-span packets without panicking.
-        let packets = pkts(&[10, 40, 25, 50, 30, 90]);
-        let slice = slice_by_label(&packets, &span(20, 45));
-        assert!(!slice.is_empty());
-        assert_eq!(slice[0].ts_micros, 40);
-        assert_eq!(slice[slice.len() - 1].ts_micros, 30);
+        let slice = slice_by_label(&cap(&[10, 40, 25, 50, 30, 90]), &span(20, 45));
         // Hull semantics: from first to last in-span packet, inclusive
         // of the out-of-span 50 trapped between them.
-        assert_eq!(
-            slice.iter().map(|p| p.ts_micros).collect::<Vec<_>>(),
-            [40, 25, 50, 30]
-        );
-        // The exact filter excludes the trapped packet.
-        assert_eq!(
-            filter_by_label(&packets, &span(20, 45))
-                .iter()
-                .map(|p| p.ts_micros)
-                .collect::<Vec<_>>(),
-            [40, 25, 30]
-        );
+        assert_eq!(stamps(&slice), [40, 25, 50, 30]);
     }
 
     #[test]
     fn slice_finds_packets_binary_search_misses() {
         // Sorted-looking prefix hides the in-span packet from binary
         // search: partition_point lands on an empty window here.
-        let packets = pkts(&[100, 5, 200]);
-        let slice = slice_by_label(&packets, &span(4, 6));
-        assert_eq!(slice.len(), 1);
-        assert_eq!(slice[0].ts_micros, 5);
+        let slice = slice_by_label(&cap(&[100, 5, 200]), &span(4, 6));
+        assert_eq!(stamps(&slice), [5]);
     }
 
     #[test]
     fn slice_outside_range_is_empty_not_panic() {
-        let packets = pkts(&[10, 20, 30]);
-        assert!(slice_by_label(&packets, &span(0, 5)).is_empty());
-        assert!(slice_by_label(&packets, &span(31, 99)).is_empty());
-        assert!(slice_by_label(&[], &span(0, 5)).is_empty());
+        let capture = cap(&[10, 20, 30]);
+        assert!(slice_by_label(&capture, &span(0, 5)).is_empty());
+        assert!(slice_by_label(&capture, &span(31, 99)).is_empty());
+        assert!(slice_by_label(&Capture::new(), &span(0, 5)).is_empty());
         // Straddling spans clamp to the packets that exist.
-        assert_eq!(slice_by_label(&packets, &span(0, 15)).len(), 1);
-        assert_eq!(slice_by_label(&packets, &span(25, 99)).len(), 1);
+        assert_eq!(stamps(&slice_by_label(&capture, &span(0, 15))), [10]);
+        assert_eq!(stamps(&slice_by_label(&capture, &span(25, 99))), [30]);
     }
 
     #[test]
     fn lenient_read_survives_torn_capture() {
         let (store, _) = store_with_experiments();
-        let dir = std::env::temp_dir().join(format!("intl-iot-torn-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("torn");
         store.write_to(&dir).unwrap();
         let device_dir = dir.join("us").join("tp-link-plug");
         // Tear the capture mid-record, as a killed tcpdump would.
         let pcap = device_dir.join("capture.pcap");
         let bytes = std::fs::read(&pcap).unwrap();
         std::fs::write(&pcap, &bytes[..bytes.len() - 7]).unwrap();
-        let (packets, labels, salvage) = read_device_dir(&device_dir).unwrap();
+        let (capture, labels, salvage) = read_device_dir(&device_dir).unwrap();
         assert!(!salvage.is_pristine());
         assert!(salvage.torn_tail_bytes > 0);
         assert_eq!(labels.len(), 3, "labels are independent of the tear");
-        assert!(!packets.is_empty(), "everything before the tear survives");
+        assert!(!capture.is_empty(), "everything before the tear survives");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A record-less pcap global header with `link_type`, in either byte
+    /// order (thiszone and sigfigs are zero, so they need no swap).
+    fn global_header(link_type: u32, big_endian: bool) -> Vec<u8> {
+        let mut h = Capture::new().into_bytes();
+        h[20..24].copy_from_slice(&link_type.to_le_bytes());
+        if big_endian {
+            for field in [0..4, 4..6, 6..8, 16..20, 20..24] {
+                h[field].reverse();
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn read_device_dir_refuses_non_ethernet_link_types() {
+        let dir = scratch_dir("linktype");
+        let pcap = dir.join("capture.pcap");
+        std::fs::write(dir.join("labels.tsv"), "# start_us\tend_us\tlabel\trep\n").unwrap();
+        for big_endian in [false, true] {
+            // The same header with the Ethernet link type reads fine.
+            std::fs::write(&pcap, global_header(1, big_endian)).unwrap();
+            let (capture, _, salvage) = read_device_dir(&dir).unwrap();
+            assert!(capture.is_empty() && salvage.is_pristine());
+            // Raw IP (101) and Linux cooked (113) are refused, typed.
+            for link_type in [101, 113] {
+                std::fs::write(&pcap, global_header(link_type, big_endian)).unwrap();
+                let err = read_device_dir(&dir).unwrap_err();
+                let inner = err.get_ref().and_then(|e| e.downcast_ref());
+                assert!(
+                    matches!(inner, Some(iot_net::Error::UnsupportedLinkType(t)) if *t == link_type),
+                    "link type {link_type} (big endian: {big_endian}) must be refused: {err}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn out_of_range_rep_is_refused_naming_the_row() {
+        let dir = scratch_dir("rep");
+        std::fs::write(dir.join("capture.pcap"), global_header(1, false)).unwrap();
+        let row = "10\t20\tpower\t4294967296";
+        let labels = format!("# start_us\tend_us\tlabel\trep\n{row}\n");
+        std::fs::write(dir.join("labels.tsv"), labels).unwrap();
+        let err = read_device_dir(&dir).expect_err("rep must fit a u32, not wrap to 0");
+        let msg = err.to_string();
+        assert!(msg.contains("line 2"), "{msg}");
+        assert!(msg.contains(&row.replace('\t', "\\t")), "{msg}");
+        // The largest representable rep still reads.
+        std::fs::write(dir.join("labels.tsv"), "10\t20\tpower\t4294967295\n").unwrap();
+        assert_eq!(read_device_dir(&dir).unwrap().1[0].rep, u32::MAX);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -20,18 +20,16 @@
 //! Unknown subcommands or flags print the usage text and exit with
 //! status 2; runtime failures exit with status 1.
 
-use intl_iot::analysis::encryption::{classify_flow_with, ClassBytes};
-use intl_iot::analysis::flows::ExperimentFlows;
-use intl_iot::analysis::pii::PiiPatterns;
+use intl_iot::analysis::pipeline::Pipeline;
 use intl_iot::analysis::unexpected::segment_units;
-use intl_iot::entropy::{EncryptionClass, EntropyScratch, Thresholds};
-use intl_iot::geodb::party::classify;
 use intl_iot::geodb::registry::GeoDb;
 use intl_iot::testbed::capture::{read_device_dir, slice_by_label, CaptureStore};
-use intl_iot::testbed::experiment::{run_idle, run_interaction, run_power, LabeledExperiment};
+use intl_iot::testbed::experiment::{
+    run_idle, run_interaction, run_power, ExperimentKind, LabeledExperiment,
+};
 use intl_iot::testbed::lab::{Lab, LabSite};
-use intl_iot::testbed::traffic::identity_of;
 use intl_iot::testbed::{catalog, device::Availability};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -144,15 +142,15 @@ fn cmd_capture(args: &[String]) -> CliResult {
     let mut total = 0usize;
     let mut record = |exp: LabeledExperiment| {
         total += exp.packet_count();
-        store.append(&exp);
+        store.append(&exp)
     };
     for rep in 0..3 {
-        record(run_power(&db, device, vpn, rep, 0));
+        record(run_power(&db, device, vpn, rep, 0))?;
     }
     for activity in &spec.activities {
         for &method in activity.methods {
             for rep in 0..3 {
-                record(run_interaction(&db, device, activity, method, vpn, rep, 0));
+                record(run_interaction(&db, device, activity, method, vpn, rep, 0))?;
             }
         }
     }
@@ -195,11 +193,11 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         .find(|s| s.id() == device_id)
         .ok_or_else(|| format!("unknown device id {device_id:?}"))?;
 
-    let (packets, labels, salvage) = read_device_dir(dir)?;
+    let (capture, labels, salvage) = read_device_dir(dir)?;
     println!(
         "{}: {} packets, {} labeled experiments\n",
         spec.name,
-        packets.len(),
+        capture.record_count(),
         labels.len()
     );
     if !salvage.is_pristine() {
@@ -208,67 +206,56 @@ fn cmd_analyze(args: &[String]) -> CliResult {
             salvage.resyncs, salvage.bytes_skipped, salvage.torn_tail_bytes
         );
     }
-
-    let db = GeoDb::new();
-    let lab = Lab::deploy(site);
-    let identity = identity_of(find_device(&lab, spec.name)?);
-    let patterns = PiiPatterns::for_identity(&identity);
-    let thresholds = Thresholds::default();
-    let mut scratch = EntropyScratch::new();
+    // Refuse a device the lab never deployed: its identity (and so its
+    // PII patterns) would be missing from the pipeline.
+    find_device(&Lab::deploy(site), spec.name)?;
 
     println!(
         "{:<22} {:>7} {:>8}  {:<40} {}",
         "label", "packets", "unenc%", "destinations (party)", "PII"
     );
     for span in &labels {
-        let slice = slice_by_label(&packets, span);
-        let pseudo = LabeledExperiment {
+        // Each label span is one experiment through the campaign's own
+        // analysis path, in a pipeline of its own so its results are
+        // exactly this span's.
+        let slice = slice_by_label(&capture, span);
+        let packets = slice.record_count();
+        let mut p = Pipeline::with_obs(false);
+        p.ingest_experiments([LabeledExperiment {
             device_name: spec.name,
             site,
             vpn: false,
-            kind: intl_iot::testbed::experiment::ExperimentKind::Interaction,
+            kind: ExperimentKind::Interaction,
             label: span.label.clone(),
             activity: None,
             rep: span.rep,
-            capture: iot_net::pcap::Capture::from_packets(slice)
-                .map_err(|e| e.to_string())?,
-        };
-        let flows = ExperimentFlows::from_experiment(&pseudo);
-        let mut bytes = ClassBytes::default();
-        let mut dests = std::collections::BTreeSet::new();
-        let mut pii = std::collections::BTreeSet::new();
-        for lf in &flows.flows {
-            let class = classify_flow_with(lf, &thresholds, &mut scratch);
-            let n = lf.flow.total_bytes();
-            match class {
-                EncryptionClass::LikelyUnencrypted => bytes.unencrypted += n,
-                EncryptionClass::LikelyEncrypted => bytes.encrypted += n,
-                EncryptionClass::Unknown => bytes.unknown += n,
-            }
-            for (kind, enc) in patterns
-                .search(&lf.flow.payload_out)
-                .into_iter()
-                .chain(patterns.search(&lf.flow.payload_in))
-            {
-                pii.insert(format!("{kind:?}/{enc}"));
-            }
-        }
-        for lf in flows.internet_flows() {
-            if let Some((org, role)) = lf.domain.as_deref().and_then(|d| db.org_for_domain(d)) {
-                let party = classify(org, Some(role), spec.manufacturer_org);
-                dests.insert(format!("{} ({party})", org.name));
-            }
-        }
+            capture: slice,
+        }]);
+        let unenc = p
+            .encryption
+            .device_unencrypted_percent(spec.name, site, false)
+            .unwrap_or(0.0);
+        let dests: BTreeSet<String> = p
+            .destinations
+            .parties()
+            .filter_map(|(org, party)| Some(format!("{} ({party})", org?)))
+            .collect();
+        let pii: BTreeSet<String> = p
+            .pii
+            .iter()
+            .map(|f| format!("{:?}/{}", f.kind, f.encoding))
+            .collect();
+        let joined = |set: BTreeSet<String>| set.into_iter().collect::<Vec<_>>().join(", ");
         println!(
             "{:<22} {:>7} {:>7.1}%  {:<40} {}",
             format!("{}#{}", span.label, span.rep),
-            slice.len(),
-            bytes.percent(EncryptionClass::LikelyUnencrypted),
-            dests.into_iter().collect::<Vec<_>>().join(", "),
+            packets,
+            unenc,
+            joined(dests),
             if pii.is_empty() {
                 "-".to_string()
             } else {
-                pii.into_iter().collect::<Vec<_>>().join(", ")
+                joined(pii)
             }
         );
     }
@@ -277,7 +264,6 @@ fn cmd_analyze(args: &[String]) -> CliResult {
 
 fn cmd_campaign(args: &[String]) -> CliResult {
     use iot_bench::{campaign_config, Scale};
-    use intl_iot::analysis::pipeline::Pipeline;
     use intl_iot::obs::{chrome_trace, RunReport, TraceMode};
 
     let mut scale = Scale::Quick;

@@ -60,6 +60,11 @@
 #    reruns the oracle on the medium campaign grid, warn-only, with the
 #    instrumented allocator counting so the run prints the campaign's
 #    heap high-water and kernel peak RSS at that scale.
+# 10. analyze smoke: `moniotr capture` writes one device's pcap + labels,
+#    the pcap is torn by 7 bytes (a killed tcpdump), and `moniotr
+#    analyze` must still exit 0 and print the degraded-capture warning.
+#    Then the pcap_roundtrip example writes a capture file and reads it
+#    back byte-identically.
 #
 # Flags:
 #   --nightly   run the deeper, slower sweeps too (currently: the
@@ -187,6 +192,20 @@ IOT_SCALE=quick IOT_RESULTS_DIR=target/verify_results \
 IOT_SCALE=quick IOT_RESULTS_DIR=target/verify_results \
   IOT_ORACLE_OUT=target/oracle_check_tables.json \
   ./target/release/oracle_check
+
+echo "=== analyze smoke: capture, tear the pcap, analyze through the release binary ==="
+rm -rf target/verify_caps
+./target/release/moniotr capture "TP-Link Plug" target/verify_caps >/dev/null
+PCAP=target/verify_caps/us/tp-link-plug/capture.pcap
+head -c "$(($(wc -c < "$PCAP") - 7))" "$PCAP" > "$PCAP.torn"
+mv "$PCAP.torn" "$PCAP"
+./target/release/moniotr analyze target/verify_caps/us/tp-link-plug \
+  > target/verify_analyze.txt
+grep "warning: degraded capture" target/verify_analyze.txt || {
+  echo "verify.sh: FAIL — analyze printed no degraded-capture warning for a torn pcap" >&2
+  exit 1
+}
+cargo run --release --example pcap_roundtrip
 
 # Deeper sweep: the medium-scale oracle, part of the nightly tier
 # (./verify.sh --nightly) and still reachable via ORACLE_SCALE=medium.
